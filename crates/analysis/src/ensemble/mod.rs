@@ -35,11 +35,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use goc_game::{gen::random_config, CoinId, Configuration, Game, MassTracker, Snapshot};
-use goc_learning::{
-    run_incremental, run_incremental_from, run_incremental_with_churn, run_with_churn, ChurnPlan,
-    LearningOptions, LearningOutcome, SchedulerKind,
-};
+use goc_game::{gen::random_config, Configuration, Game, MassTracker};
+use goc_learning::{ChurnPlan, Dynamics, LearningOutcome, SchedulerKind};
 use goc_sim::fixtures::{scale_churn_base, scale_class_game};
 use goc_sim::{churn_timeline, churn_universe, stride_deltas, ChurnSpec, ScenarioSpec};
 
@@ -66,14 +63,14 @@ const CENSUS_ROWS: usize = 12;
 /// population, each replica seeded from `seed` by
 /// [`executor::replica_seed`].
 ///
-/// * `scheduler: None` drives the scheduler-free
-///   [`goc_learning::run_incremental`] loop (the fast path for large
-///   populations); `Some(kind)` drives [`goc_learning::run`]'s
-///   incremental protocol with that kind, seeded per replica.
+/// * `scheduler: None` drives the scheduler-free group round-robin of
+///   [`goc_learning::Dynamics`] (the fast path for large populations);
+///   `Some(kind)` drives its incremental scheduler protocol with that
+///   kind, seeded per replica.
 /// * `churn: Some(spec)` lowers the fixture cohort scenario plus this
 ///   churn plan to a per-replica delta stream
-///   ([`goc_sim::churn_universe`]); replicas then run
-///   `run[_incremental]_with_churn`. The plan follows the fixture
+///   ([`goc_sim::churn_universe`]) that the replica's dynamics
+///   interleave with their steps. The plan follows the fixture
 ///   shape: coin 2 is the launchable `upstart` chain
 ///   (see [`goc_sim::fixtures::scale_churn_base`]).
 /// * Without churn, replicas start from an independent uniformly random
@@ -354,17 +351,26 @@ fn churn_scenario(spec: &EnsembleSpec, churn: &ChurnSpec, seed: u64) -> Scenario
     scenario
 }
 
+/// What the coordinator builds once per ensemble and every replica
+/// borrows.
+#[derive(Clone, Copy)]
+enum Shared<'u> {
+    /// Churn-free: the fixture game. Each replica builds its own
+    /// tracker on it at its own random start.
+    Game(&'u Game),
+    /// Churny and scheduler-free: the time-zero tracker of the
+    /// seed-invariant churn universe. Each replica clones it and
+    /// replays only its own timeline.
+    Tracker(&'u MassTracker<'u>),
+}
+
 /// Runs one replica. `shared` short-circuits per-replica setup with the
-/// ensemble's decoded [`Snapshot`] — churn-free replicas fork the
-/// shared universe at their own random start
-/// ([`Snapshot::fork_at`]), churny scheduler-free replicas fork the
-/// time-zero tracker exactly and replay only their own timeline. The
-/// result is identical either way: a fork reproduces precisely the
-/// state a from-scratch rebuild constructs (the determinism proptests
-/// replay `None` against `Some` to pin this).
+/// state the coordinator built once (see [`Shared`]); `None` builds
+/// everything from scratch. The result is identical either way (the
+/// determinism proptests replay `None` against `Some` to pin this).
 fn replica_with(
     spec: &EnsembleSpec,
-    shared: Option<&Snapshot>,
+    shared: Option<Shared<'_>>,
     index: usize,
     lane: Option<&TraceLane>,
 ) -> Result<ReplicaRecord, EnsembleError> {
@@ -373,66 +379,59 @@ fn replica_with(
         replica: index,
         error,
     };
-    let options = LearningOptions::default();
+    let build_span = || lane.map(|l| l.span(TraceEventKind::TrackerBuild, index as u64));
     let clock = Instant::now();
+    let mut sched = spec.scheduler.map(|kind| kind.build(seed));
     let (outcome, key, potential, welfare) = match &spec.churn {
         None => {
             let built;
             let game = match shared {
-                Some(snapshot) => snapshot.game(),
-                None => {
+                Some(Shared::Game(game)) => game,
+                _ => {
                     built = scale_class_game(spec.miners);
                     &built
                 }
             };
             let mut rng = SmallRng::seed_from_u64(seed);
             let start = random_config(&mut rng, game.system());
-            let outcome = match (spec.scheduler, shared) {
-                (None, Some(snapshot)) => {
-                    let tracker = {
-                        let _fork =
-                            lane.map(|l| l.span(TraceEventKind::SnapshotFork, index as u64));
-                        snapshot.fork_at(&start).map_err(|e| fail(e.to_string()))?
-                    };
-                    run_incremental_from(tracker, options, &ChurnPlan::default(), None)
-                        .map_err(|e| fail(e.to_string()))?
-                }
-                (None, None) => {
-                    run_incremental(game, &start, options).map_err(|e| fail(e.to_string()))?
-                }
-                (Some(kind), _) => {
-                    let mut sched = kind.build(seed);
-                    goc_learning::run(game, &start, sched.as_mut(), options)
-                        .map_err(|e| fail(e.to_string()))?
-                }
+            let tracker = {
+                let _build = build_span();
+                MassTracker::new(game, &start).map_err(|e| fail(e.to_string()))?
             };
+            let mut dynamics = Dynamics::new(game).from_tracker(tracker);
+            if let Some(sched) = sched.as_mut() {
+                dynamics = dynamics.scheduler(sched.as_mut());
+            }
+            let outcome = dynamics.run().map_err(|e| fail(e.to_string()))?;
             let (key, potential, welfare) = reduce_state(game, &outcome.final_config, None, None);
             (outcome, key, potential, welfare)
         }
         Some(churn) => {
             let scenario = churn_scenario(spec, churn, seed);
             let built;
-            let (outcome, game): (LearningOutcome, &Game) = match (spec.scheduler, shared) {
-                (None, Some(snapshot)) => {
+            let (outcome, game): (LearningOutcome, &Game) = match shared {
+                Some(Shared::Tracker(time_zero)) => {
                     // The universe is seed-invariant; only the timeline
                     // varies per replica. Re-lower it and replay against
-                    // an exact fork of the shared time-zero tracker.
+                    // a copy of the shared time-zero tracker.
                     let deltas = churn_timeline(&scenario).map_err(|e| fail(e.to_string()))?;
                     let plan = ChurnPlan::with_events(
-                        Some(snapshot.miner_activity().to_vec()),
-                        Some(snapshot.coin_activity().to_vec()),
+                        Some(time_zero.miner_activity().to_vec()),
+                        Some(time_zero.coin_activity().to_vec()),
                         stride_deltas(&deltas, spec.miners),
                     );
-                    let forked = {
-                        let _fork =
-                            lane.map(|l| l.span(TraceEventKind::SnapshotFork, index as u64));
-                        snapshot.fork()
+                    let tracker = {
+                        let _build = build_span();
+                        time_zero.clone()
                     };
-                    let outcome = run_incremental_from(forked, options, &plan, None)
+                    let outcome = Dynamics::new(time_zero.game())
+                        .from_tracker(tracker)
+                        .churn(&plan)
+                        .run()
                         .map_err(|e| fail(e.to_string()))?;
-                    (outcome, snapshot.game())
+                    (outcome, time_zero.game())
                 }
-                (scheduler, _) => {
+                _ => {
                     built = churn_universe(&scenario, CHURN_RESOLUTION)
                         .map_err(|e| fail(e.to_string()))?;
                     let plan = ChurnPlan::with_events(
@@ -440,22 +439,11 @@ fn replica_with(
                         Some(built.coin_active.clone()),
                         built.step_deltas(spec.miners),
                     );
-                    let outcome = match scheduler {
-                        None => {
-                            run_incremental_with_churn(&built.game, &built.start, options, &plan)
-                        }
-                        Some(kind) => {
-                            let mut sched = kind.build(seed);
-                            run_with_churn(
-                                &built.game,
-                                &built.start,
-                                sched.as_mut(),
-                                options,
-                                &plan,
-                            )
-                        }
+                    let mut dynamics = Dynamics::new(&built.game).start(&built.start).churn(&plan);
+                    if let Some(sched) = sched.as_mut() {
+                        dynamics = dynamics.scheduler(sched.as_mut());
                     }
-                    .map_err(|e| fail(e.to_string()))?;
+                    let outcome = dynamics.run().map_err(|e| fail(e.to_string()))?;
                     (outcome, &built.game)
                 }
             };
@@ -494,54 +482,6 @@ fn replica_with(
 pub fn replica(spec: &EnsembleSpec, index: usize) -> Result<ReplicaRecord, EnsembleError> {
     spec.validate()?;
     replica_with(spec, None, index, None)
-}
-
-/// Builds the ensemble's shared time-zero image: construct the universe
-/// tracker once, encode it, and decode the bytes back into the
-/// [`Snapshot`] every replica forks. The encode → decode round trip is
-/// deliberate — it exercises the exact wire image a checkpoint file
-/// would carry, so the ensemble continuously proves the codec faithful.
-///
-/// `None` for scheduled churny ensembles, whose replicas need their own
-/// full universe (the scheduler consumes the per-replica scenario).
-fn shared_snapshot(spec: &EnsembleSpec, lane: &TraceLane) -> Result<Option<Snapshot>, String> {
-    let roundtrip = |tracker: &MassTracker<'_>| {
-        let bytes = {
-            let _encode = lane.span(TraceEventKind::SnapshotEncode, spec.miners as u64);
-            Snapshot::of(tracker).encode()
-        };
-        let _decode = lane.span(TraceEventKind::SnapshotDecode, bytes.len() as u64);
-        Snapshot::try_from(bytes.as_slice()).map_err(|e| e.to_string())
-    };
-    match &spec.churn {
-        None => {
-            // The snapshot's own configuration is immaterial here:
-            // churn-free replicas fork *at* their private random start
-            // (`Snapshot::fork_at`), scheduled ones only borrow the game.
-            let game = scale_class_game(spec.miners);
-            let start =
-                Configuration::uniform(CoinId(0), game.system()).map_err(|e| e.to_string())?;
-            let tracker = MassTracker::new(&game, &start).map_err(|e| e.to_string())?;
-            roundtrip(&tracker).map(Some)
-        }
-        Some(_) if spec.scheduler.is_some() => Ok(None),
-        Some(churn) => {
-            // The churn universe is seed-invariant (only the timeline
-            // varies per replica — pinned by the bridge tests), so any
-            // seed describes the shared time-zero state.
-            let scenario = churn_scenario(spec, churn, 0);
-            let universe =
-                churn_universe(&scenario, CHURN_RESOLUTION).map_err(|e| e.to_string())?;
-            let tracker = MassTracker::with_activity(
-                &universe.game,
-                &universe.start,
-                &universe.miner_active,
-                &universe.coin_active,
-            )
-            .map_err(|e| e.to_string())?;
-            roundtrip(&tracker).map(Some)
-        }
-    }
 }
 
 /// Executes the ensemble on `threads` work-stealing workers and folds
@@ -588,10 +528,9 @@ pub fn run_recorded(
     run_traced(spec, threads, registry, trace::global())
 }
 
-/// [`run_recorded`] with flight-recorder tracing on `tracer`: a
-/// coordinator lane spans the shared-snapshot encode/decode, and each
+/// [`run_recorded`] with flight-recorder tracing on `tracer`: each
 /// replica gets `replica_start`/`replica_finish` instants plus a
-/// `snapshot_fork` span (correlation = replica index) on a per-worker
+/// `tracker_build` span (correlation = replica index) on a per-worker
 /// lane. Like the registry, the tracer only ever sees wall-clock facts
 /// — the deterministic aggregate is untouched, and on a disabled or
 /// standby recorder every event is a one-relaxed-load no-op.
@@ -611,11 +550,34 @@ pub fn run_traced(
     let metrics = ExecutorMetrics::register(registry);
     let wall_hist = registry.histogram("goc_ensemble_replica_wall_secs");
     let clock = Instant::now();
-    let coordinator = tracer.lane();
-    // One universe, encoded and decoded once; every replica forks the
-    // decoded image instead of rebuilding its own (see `replica_with`).
-    let shared = shared_snapshot(spec, &coordinator)
-        .map_err(|error| EnsembleError::Replica { replica: 0, error })?;
+    let setup = |error: String| EnsembleError::Replica { replica: 0, error };
+    // What every replica shares is built once here (see `replica_with`);
+    // scheduled churny replicas need their own universe and share nothing.
+    let game;
+    let universe;
+    let time_zero;
+    let shared = match &spec.churn {
+        None => {
+            game = scale_class_game(spec.miners);
+            Some(Shared::Game(&game))
+        }
+        Some(_) if spec.scheduler.is_some() => None,
+        Some(churn) => {
+            // The churn universe is seed-invariant (only the timeline
+            // varies per replica — pinned by the bridge tests), so any
+            // seed describes the shared time-zero state.
+            universe = churn_universe(&churn_scenario(spec, churn, 0), CHURN_RESOLUTION)
+                .map_err(|e| setup(e.to_string()))?;
+            time_zero = MassTracker::with_activity(
+                &universe.game,
+                &universe.start,
+                &universe.miner_active,
+                &universe.coin_active,
+            )
+            .map_err(|e| setup(e.to_string()))?;
+            Some(Shared::Tracker(&time_zero))
+        }
+    };
     let results = run_indexed_recorded(
         spec.replicas,
         threads,
@@ -624,7 +586,7 @@ pub fn run_traced(
             // recycles them, so live lanes stay bounded by concurrency.
             let lane = tracer.lane();
             lane.instant(TraceEventKind::ReplicaStart, index as u64);
-            let result = replica_with(spec, shared.as_ref(), index, Some(&lane));
+            let result = replica_with(spec, shared, index, Some(&lane));
             lane.instant(TraceEventKind::ReplicaFinish, index as u64);
             result
         },
@@ -792,14 +754,11 @@ mod tests {
         let snap = tracer.snapshot();
         assert_eq!(snap.dropped, 0);
         let count = |kind| snap.events.iter().filter(|e| e.kind == kind).count();
-        // One encode and one decode span (begin + end each)...
-        assert_eq!(count(TraceEventKind::SnapshotEncode), 2);
-        assert_eq!(count(TraceEventKind::SnapshotDecode), 2);
-        // ...and per replica: start/finish instants plus a fork span.
+        // Per replica: start/finish instants plus a tracker-build span.
         assert_eq!(count(TraceEventKind::ReplicaStart), spec.replicas);
         assert_eq!(count(TraceEventKind::ReplicaFinish), spec.replicas);
-        assert_eq!(count(TraceEventKind::SnapshotFork), 2 * spec.replicas);
-        // Every replica index appears as a complete start → fork →
+        assert_eq!(count(TraceEventKind::TrackerBuild), 2 * spec.replicas);
+        // Every replica index appears as a complete start → build →
         // finish timeline on one lane.
         for index in 0..spec.replicas as u64 {
             let timeline = snap.timeline(index);
@@ -808,8 +767,8 @@ mod tests {
                 kinds,
                 vec![
                     TraceEventKind::ReplicaStart,
-                    TraceEventKind::SnapshotFork,
-                    TraceEventKind::SnapshotFork,
+                    TraceEventKind::TrackerBuild,
+                    TraceEventKind::TrackerBuild,
                     TraceEventKind::ReplicaFinish,
                 ],
                 "replica {index}"

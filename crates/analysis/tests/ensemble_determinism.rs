@@ -12,7 +12,9 @@
 //!    per-key hit counts against the streaming index.
 //!
 //! Both properties cover the scheduler-free incremental loop, every
-//! bundled scheduler kind, and the churny fixture plan.
+//! bundled scheduler kind, and the churny fixture plan with and without
+//! a scheduler (the scheduler-free churny replicas clone one shared
+//! time-zero tracker; the naive replay builds each from scratch).
 
 use std::collections::BTreeMap;
 
@@ -42,13 +44,16 @@ fn small_spec() -> impl Strategy<Value = EnsembleSpec> {
 }
 
 /// As [`small_spec`], but with the fixture churn plan attached (modest
-/// populations keep the per-case universe builds cheap).
+/// populations keep the per-case universe builds cheap), either
+/// scheduler-free or round-robin scheduled.
 fn churny_spec() -> impl Strategy<Value = EnsembleSpec> {
-    (16usize..64, 2usize..6, 0u64..u64::MAX, 5u32..30).prop_map(
-        |(miners, replicas, seed, turnover)| {
-            EnsembleSpec::new(miners, replicas, seed)
-                .with_scheduler(SchedulerKind::RoundRobin)
-                .with_churn(turnover)
+    (16usize..64, 2usize..6, 0u64..u64::MAX, 5u32..30, 0u8..2).prop_map(
+        |(miners, replicas, seed, turnover, scheduled)| {
+            let spec = EnsembleSpec::new(miners, replicas, seed).with_churn(turnover);
+            match scheduled {
+                0 => spec,
+                _ => spec.with_scheduler(SchedulerKind::RoundRobin),
+            }
         },
     )
 }
@@ -93,32 +98,37 @@ proptest! {
     }
 
     #[test]
-    fn fingerprint_index_matches_naive_sort_and_dedup(spec in small_spec()) {
-        let report = run(&spec, 4).expect("ensemble runs");
-        let (naive_keys, naive_hits) = naive_census(&spec);
-        let census = &report.aggregate.equilibria;
-        prop_assert_eq!(census.distinct, naive_keys.len());
-        prop_assert_eq!(census.total_hits, report.aggregate.converged as u64);
-        // Every listed census row matches the naive hit count for its
-        // mass vector (the listing caps at 12 rows; the distinct count
-        // and total_hits always cover everything).
-        prop_assert!(census.entries.len() == census.distinct.min(12));
-        for entry in &census.entries {
-            let key = EquilibriumKey {
-                masses: entry
-                    .masses
-                    .iter()
-                    .map(|m| m.parse::<u128>().expect("decimal mass"))
-                    .collect(),
-                live: entry.live.clone(),
-            };
-            prop_assert_eq!(
-                Some(&entry.hits),
-                naive_hits.get(&key),
-                "hit count diverged for fingerprint {}",
-                &entry.fingerprint
-            );
-            prop_assert!(naive_keys.binary_search(&key).is_ok());
+    fn fingerprint_index_matches_naive_sort_and_dedup(
+        small in small_spec(),
+        churny in churny_spec(),
+    ) {
+        for spec in [small, churny] {
+            let report = run(&spec, 4).expect("ensemble runs");
+            let (naive_keys, naive_hits) = naive_census(&spec);
+            let census = &report.aggregate.equilibria;
+            prop_assert_eq!(census.distinct, naive_keys.len());
+            prop_assert_eq!(census.total_hits, report.aggregate.converged as u64);
+            // Every listed census row matches the naive hit count for its
+            // mass vector (the listing caps at 12 rows; the distinct count
+            // and total_hits always cover everything).
+            prop_assert!(census.entries.len() == census.distinct.min(12));
+            for entry in &census.entries {
+                let key = EquilibriumKey {
+                    masses: entry
+                        .masses
+                        .iter()
+                        .map(|m| m.parse::<u128>().expect("decimal mass"))
+                        .collect(),
+                    live: entry.live.clone(),
+                };
+                prop_assert_eq!(
+                    Some(&entry.hits),
+                    naive_hits.get(&key),
+                    "hit count diverged for fingerprint {}",
+                    &entry.fingerprint
+                );
+                prop_assert!(naive_keys.binary_search(&key).is_ok());
+            }
         }
     }
 

@@ -1,12 +1,10 @@
 //! Versioned binary snapshots of incremental game state.
 //!
 //! Everything else in the workspace serializes through JSON, which is
-//! fine for reports and wire envelopes but hopeless as a forking
-//! primitive: rebuilding a 100k-miner [`MassTracker`] from a JSON
-//! `Game` + `Configuration` costs a full `O(miners · log miners)`
-//! group-index construction per Monte-Carlo replica. A [`Snapshot`] is
-//! the binary counterpart — a self-contained, versioned, checksummed
-//! encoding of a tracker's observable state:
+//! fine for reports and wire envelopes but cannot carry a tracker's
+//! history across a process boundary (checkpoints, warm starts). A
+//! [`Snapshot`] is the binary counterpart — a self-contained,
+//! versioned, checksummed encoding of a tracker's observable state:
 //!
 //! * the [`Game`] (system powers and names, exact rational rewards,
 //!   optional restriction matrix),
@@ -57,7 +55,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::BTreeMap; // allow-collection: restore and decode-validation key maps
 use std::fmt;
 
 use crate::config::{Configuration, Masses};
@@ -450,59 +448,21 @@ impl Snapshot {
     }
 
     /// Spawns a tracker over the snapshot's game and activity masks but
-    /// at a **different** starting configuration — the ensemble's
-    /// population fork: one snapshot carries the expensive shared state
-    /// (game, masks), each replica supplies its own random start. The
-    /// group index is built fresh (first-encounter id order, cursor 0),
-    /// exactly as [`MassTracker::with_activity`] would, but via a bulk
-    /// sorted load instead of per-miner tree inserts — same state,
-    /// roughly a third of the cost at 100k miners.
+    /// at a **different** starting configuration: exactly
+    /// [`MassTracker::with_activity`] on the captured game and masks
+    /// (first-encounter group ids, cursor 0).
     ///
     /// # Errors
     ///
     /// * [`SnapshotError::Game`] wrapping the shape/activity errors of
     ///   [`MassTracker::with_activity`].
     pub fn fork_at(&self, start: &Configuration) -> Result<MassTracker<'_>, SnapshotError> {
-        let game = &self.game;
-        let system = game.system();
-        let config = Configuration::new(start.as_slice().to_vec(), system)?;
-        let mut masses = Masses::zero(system.num_coins());
-        let mut by_key: BTreeMap<GroupKey, u32> = BTreeMap::new();
-        let mut keys: Vec<GroupKey> = Vec::new();
-        let mut members: Vec<Vec<MinerId>> = Vec::new();
-        let mut of = vec![0u32; system.num_miners()];
-        for p in system.miner_ids() {
-            if !self.miner_active[p.index()] {
-                continue;
-            }
-            let coin = config.coin_of(p);
-            if !self.coin_active[coin.index()] {
-                return Err(SnapshotError::Game(GameError::CoinInactive { coin }));
-            }
-            masses.add(coin, system.power_of(p));
-            let key = (
-                coin.index() as u32,
-                system.power_of(p),
-                GroupIndex::rkey(game, p),
-            );
-            let next = members.len() as u32;
-            let gid = *by_key.entry(key).or_insert(next);
-            if gid == next {
-                keys.push(key);
-                members.push(Vec::new());
-            }
-            of[p.index()] = gid;
-            members[gid as usize].push(p);
-        }
-        let groups = GroupIndex::from_sorted_parts(of, &keys, members, 0);
-        Ok(MassTracker::from_parts(
-            game,
-            config,
-            masses,
-            groups,
-            self.miner_active.clone(),
-            self.coin_active.clone(),
-        ))
+        Ok(MassTracker::with_activity(
+            &self.game,
+            start,
+            &self.miner_active,
+            &self.coin_active,
+        )?)
     }
 
     /// Rebuilds the group index in the captured historical id order:
@@ -511,12 +471,10 @@ impl Snapshot {
     /// ascending pass.
     fn assemble_groups(&self, game: &Game) -> Result<GroupIndex, SnapshotError> {
         let system = game.system();
-        let by_key: BTreeMap<GroupKey, u32> = self
-            .keys
-            .iter()
-            .enumerate()
-            .map(|(gid, &key)| (key, gid as u32))
-            .collect();
+        let mut by_key = BTreeMap::new(); // allow-collection: restore probe over the captured ids
+        for (gid, &key) in self.keys.iter().enumerate() {
+            by_key.insert(key, gid as u32);
+        }
         let mut members: Vec<Vec<MinerId>> = vec![Vec::new(); self.keys.len()];
         let mut of = vec![0u32; system.num_miners()];
         for p in system.miner_ids() {
@@ -696,7 +654,7 @@ impl TryFrom<&[u8]> for Snapshot {
                 masses.add(coin, game.system().power_of(p));
             }
         }
-        let mut by_key: BTreeMap<GroupKey, u32> = BTreeMap::new();
+        let mut by_key: BTreeMap<GroupKey, u32> = BTreeMap::new(); // allow-collection: decode validation
         for (gid, &key) in keys.iter().enumerate() {
             let (coin, _, rkey) = key;
             if coin as usize >= k {

@@ -81,6 +81,8 @@
 //! # Ok::<(), goc_game::GameError>(())
 //! ```
 
+use std::collections::BTreeMap; // allow-collection: build-local key probe in `with_activity`
+
 use crate::config::{Configuration, Masses};
 use crate::delta::{AppliedDelta, Delta};
 use crate::error::GameError;
@@ -210,28 +212,12 @@ pub(crate) struct GroupIndex {
 }
 
 impl GroupIndex {
-    fn new(game: &Game, config: &Configuration, active: &[bool]) -> Self {
-        let n = game.system().num_miners();
-        let mut index = GroupIndex {
-            of: vec![0; n],
-            slot_of: Vec::new(),
-            slabs: Vec::new(),
-            free: Vec::new(),
-            by_key: Vec::new(),
-            cursor: 0,
-        };
-        for p in game.system().miner_ids() {
-            if active[p.index()] {
-                index.insert(game, p, config.coin_of(p));
-            }
-        }
-        index
-    }
-
     /// Assembles an index from pre-validated parts: `keys[gid]` in
     /// historical group-id order and `members[gid]` ascending by miner
-    /// id — the [`crate::snapshot`] bulk-load path, which fills slabs
-    /// directly instead of inserting miner by miner.
+    /// id. Both builds load through here — [`MassTracker::with_activity`]
+    /// (first-encounter ids, cursor 0) and the [`crate::snapshot`]
+    /// restore (captured ids and cursor) — filling slabs directly
+    /// instead of inserting miner by miner.
     pub(crate) fn from_sorted_parts(
         of: Vec<u32>,
         keys: &[GroupKey],
@@ -424,7 +410,7 @@ pub struct MassTracker<'g> {
 
 impl<'g> MassTracker<'g> {
     /// Builds a tracker over `start` in `game`, with the whole universe
-    /// active. Costs `O(miners + coins)`.
+    /// active (see [`MassTracker::with_activity`]).
     ///
     /// # Errors
     ///
@@ -441,6 +427,8 @@ impl<'g> MassTracker<'g> {
     /// / `coin_active[c]` declare who is online and which coins are live
     /// at time zero — dormant entries are the churn reserve that
     /// [`Delta::InsertMiner`] / [`Delta::LaunchCoin`] later activate.
+    /// This is the one construction of a fresh group index: a single
+    /// ascending pass over the miners, `O(miners · log classes)`.
     ///
     /// # Errors
     ///
@@ -472,18 +460,36 @@ impl<'g> MassTracker<'g> {
         // of range (Configurations from a different system are accepted by
         // the type system).
         let config = Configuration::new(start.as_slice().to_vec(), system)?;
+        // One ascending pass fills masses and the group index together:
+        // class ids are minted in first-encounter order and members
+        // arrive sorted, so the slabs load in bulk.
         let mut masses = Masses::zero(system.num_coins());
+        let mut gid_of_key: BTreeMap<GroupKey, u32> = BTreeMap::new(); // allow-collection: build-local key probe, dropped before the first step
+        let mut keys: Vec<GroupKey> = Vec::new();
+        let mut members: Vec<Vec<MinerId>> = Vec::new();
+        let mut of = vec![0u32; system.num_miners()];
         for p in system.miner_ids() {
-            if miner_active[p.index()] {
-                let coin = config.coin_of(p);
-                if !coin_active[coin.index()] {
-                    return Err(GameError::CoinInactive { coin });
-                }
-                masses.add(coin, system.power_of(p));
+            if !miner_active[p.index()] {
+                continue;
             }
+            let coin = config.coin_of(p);
+            if !coin_active[coin.index()] {
+                return Err(GameError::CoinInactive { coin });
+            }
+            let power = system.power_of(p);
+            masses.add(coin, power);
+            let key = (coin.index() as u32, power, GroupIndex::rkey(game, p));
+            let next = keys.len() as u32;
+            let gid = *gid_of_key.entry(key).or_insert(next);
+            if gid == next {
+                keys.push(key);
+                members.push(Vec::new());
+            }
+            of[p.index()] = gid;
+            members[gid as usize].push(p);
         }
         Ok(MassTracker {
-            groups: GroupIndex::new(game, &config, miner_active),
+            groups: GroupIndex::from_sorted_parts(of, &keys, members, 0),
             game,
             config,
             masses,

@@ -3,20 +3,19 @@
 //! A *better-response learning* from `s` (paper §2) is a sequence of
 //! individual improvement steps that either is infinite or ends in a
 //! stable configuration. Theorem 1 shows the infinite case cannot happen;
-//! [`run`] executes the sequence for any [`Scheduler`] and reports the
-//! convergence point, step count, and (optionally) the full improving path
-//! with a potential-monotonicity audit.
+//! [`Dynamics`] executes the sequence for any [`Scheduler`] and reports
+//! the convergence point, step count, and (optionally) the full improving
+//! path with a potential-monotonicity audit.
 //!
-//! Every entry point rides on `goc_game`'s incremental layers:
-//! [`MassTracker`] maintains masses, payoffs, and the potential audit
-//! under single-move deltas, and [`run`] hands schedulers a
-//! [`MoveSource`] — lazy move discovery over the
-//! tracker's strategic groups — through
+//! The engine rides on `goc_game`'s incremental layers: [`MassTracker`]
+//! maintains masses, payoffs, and the potential audit under single-move
+//! deltas, and a scheduled run hands its scheduler a [`MoveSource`] —
+//! lazy move discovery over the tracker's strategic groups — through
 //! [`Scheduler::pick_incremental`]. No step materializes the per-miner
 //! improving-move list, so **every** bundled [`SchedulerKind`] converges
-//! 100k–250k-miner games, not just the dedicated [`run_incremental`]
-//! group round-robin. The eager [`Scheduler::pick_with`] path survives
-//! as the oracle the equivalence suite pins the lazy picks to.
+//! 100k–250k-miner games, not just the scheduler-free group round-robin.
+//! The eager [`Scheduler::pick_with`] path survives as the oracle the
+//! equivalence suite pins the lazy picks to.
 //!
 //! [`SchedulerKind`]: crate::scheduler::SchedulerKind
 
@@ -24,7 +23,7 @@ use std::fmt;
 
 use goc_game::{Configuration, Delta, Game, GameError, MassTracker, Move, MoveSource, Snapshot};
 
-use crate::instrument::{Fanout, Instrument, NoInstrument};
+use crate::instrument::{Instrument, NoInstrument};
 use crate::scheduler::{Scheduler, SchedulerError};
 
 /// One scheduled churn delta of a learning run: `delta` arrives once the
@@ -221,90 +220,6 @@ impl From<SchedulerError> for LearningError {
     }
 }
 
-/// Runs better-response learning from `start` under `scheduler`.
-///
-/// # Errors
-///
-/// * [`LearningError::NotABetterResponse`] if the scheduler misbehaves.
-/// * [`LearningError::PotentialViolation`] if auditing detects a
-///   non-increasing step (engine bug).
-///
-/// # Examples
-///
-/// ```
-/// use goc_game::{CoinId, Configuration, Game};
-/// use goc_learning::{run, LearningOptions, RoundRobin};
-///
-/// let game = Game::build(&[2, 1], &[1, 1])?;
-/// let start = Configuration::uniform(CoinId(0), game.system())?;
-/// let outcome = run(&game, &start, &mut RoundRobin::new(), LearningOptions::default())?;
-/// assert!(outcome.converged);
-/// assert!(game.is_stable(&outcome.final_config));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn run(
-    game: &Game,
-    start: &Configuration,
-    scheduler: &mut dyn Scheduler,
-    options: LearningOptions,
-) -> Result<LearningOutcome, LearningError> {
-    Dynamics::new(game)
-        .start(start)
-        .scheduler(scheduler)
-        .options(options)
-        .run()
-}
-
-/// [`run`] with a per-step observer called *after* each applied move with
-/// the new configuration. Used by experiments that trace potential values
-/// or hashrate series.
-///
-/// Legacy shim: new call sites should thread an [`Instrument`] through
-/// [`Dynamics::instrument`] instead (a closure of this shape *is* an
-/// instrument via the blanket impl).
-pub fn run_with_observer(
-    game: &Game,
-    start: &Configuration,
-    scheduler: &mut dyn Scheduler,
-    options: LearningOptions,
-    mut observer: impl FnMut(&Configuration, Move),
-) -> Result<LearningOutcome, LearningError> {
-    Dynamics::new(game)
-        .start(start)
-        .scheduler(scheduler)
-        .options(options)
-        .observer(&mut observer)
-        .run()
-}
-
-/// [`run`] over a **churning** population: the plan's activity masks set
-/// the time-zero universe state and its delta stream is interleaved with
-/// the scheduler's better-response steps (see [`ChurnPlan`]). All six
-/// bundled schedulers ride the same incremental [`MoveSource`] — churn
-/// deltas repair the group-decision cache, never rebuild it.
-///
-/// Convergence means: every scheduled delta has been applied *and* the
-/// resulting active population is stable.
-///
-/// # Errors
-///
-/// As [`run`], plus [`LearningError::ChurnRejected`] when a scheduled
-/// delta is illegal in the state it arrives in.
-pub fn run_with_churn(
-    game: &Game,
-    start: &Configuration,
-    scheduler: &mut dyn Scheduler,
-    options: LearningOptions,
-    plan: &ChurnPlan,
-) -> Result<LearningOutcome, LearningError> {
-    Dynamics::new(game)
-        .start(start)
-        .scheduler(scheduler)
-        .options(options)
-        .churn(plan)
-        .run()
-}
-
 /// Builds the tracker for a plan's initial activity state.
 fn churn_tracker<'g>(
     game: &'g Game,
@@ -423,75 +338,12 @@ fn scheduled_engine(
     }
 }
 
-/// Better-response learning for **large populations**: a round-robin over
-/// the tracker's strategic groups (same coin, same power), each step
-/// applying the probed group representative's best response. Semantics
-/// are a legal better-response learning in the sense of Theorem 1 — it
-/// converges to a pure equilibrium exactly like [`run`] — but no step
-/// ever rescans the miner vector, so 100k+ miner games converge in
-/// seconds as long as the population has few distinct hashrate classes.
-///
-/// Since the incremental scheduler protocol landed, [`run`] matches this
-/// entry point's asymptotics for every bundled scheduler (both ride the
-/// tracker); `run_incremental` survives as the leanest loop — group
-/// round-robin with no scheduler dispatch, the recorded `BENCH_*.json`
-/// dynamics workload — and as a second implementation the `schedulers`
-/// experiment cross-checks.
-///
-/// # Errors
-///
-/// [`LearningError::PotentialViolation`] if auditing detects a
-/// non-increasing step (engine bug).
-///
-/// # Examples
-///
-/// ```
-/// use goc_game::{CoinId, Configuration, Game};
-/// use goc_learning::{run_incremental, LearningOptions};
-///
-/// let game = Game::build(&[3, 3, 1, 1], &[6, 2])?;
-/// let start = Configuration::uniform(CoinId(0), game.system())?;
-/// let outcome = run_incremental(&game, &start, LearningOptions::default())?;
-/// assert!(outcome.converged);
-/// assert!(game.is_stable(&outcome.final_config));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn run_incremental(
-    game: &Game,
-    start: &Configuration,
-    options: LearningOptions,
-) -> Result<LearningOutcome, LearningError> {
-    Dynamics::new(game).start(start).options(options).run()
-}
-
-/// [`run_incremental`] over a **churning** population: the scheduler-free
-/// group round-robin with the plan's delta stream interleaved exactly as
-/// in [`run_with_churn`]. This is the leanest churn loop — the workload
-/// the `churn` throughput baseline records.
-///
-/// # Errors
-///
-/// As [`run_incremental`], plus [`LearningError::ChurnRejected`] when a
-/// scheduled delta is illegal in the state it arrives in.
-pub fn run_incremental_with_churn(
-    game: &Game,
-    start: &Configuration,
-    options: LearningOptions,
-    plan: &ChurnPlan,
-) -> Result<LearningOutcome, LearningError> {
-    Dynamics::new(game)
-        .start(start)
-        .options(options)
-        .churn(plan)
-        .run()
-}
-
 /// A periodic checkpoint sink for long churny runs: every `every`
 /// better-response steps the engine captures the tracker as a
-/// [`Snapshot`] and hands it (with the step count) to `sink`. Encode
-/// the snapshot to persist it; decode + [`Snapshot::fork`] +
-/// [`run_incremental_from`] warm-starts the run from where the
-/// checkpoint left off.
+/// [`Snapshot`] and hands it (with the step count) to `sink`. Attach it
+/// with [`Dynamics::instrument`]. Encode the snapshot to persist it;
+/// decode + [`Dynamics::from_snapshot`] warm-starts the run from where
+/// the checkpoint left off.
 pub struct CheckpointHook<'a> {
     /// Steps between checkpoints (values below 1 behave as 1).
     pub every: usize,
@@ -500,8 +352,7 @@ pub struct CheckpointHook<'a> {
 }
 
 /// A checkpoint hook is an [`Instrument`] that only listens for
-/// checkpoints — the engine's single watching seam subsumes the old
-/// dedicated hook parameter.
+/// checkpoints.
 impl Instrument for CheckpointHook<'_> {
     fn checkpoint_every(&self) -> usize {
         self.every.max(1)
@@ -510,37 +361,6 @@ impl Instrument for CheckpointHook<'_> {
     fn on_checkpoint(&mut self, step: usize, snapshot: &Snapshot) {
         (self.sink)(step, snapshot.clone());
     }
-}
-
-/// **Warm-start** entry of the incremental engine: continues the group
-/// round-robin from an existing tracker — a [`Snapshot`] fork, a
-/// checkpoint restore, or any tracker mid-dynamics — instead of
-/// building one from a start configuration. The plan's activity masks
-/// are **ignored** (the tracker already carries its activity state);
-/// only the delta stream and the plan's triviality (which decides
-/// whether `final_activity` is reported) are consulted. Undo recording
-/// is switched off for the duration, as in [`run_incremental`].
-///
-/// Passing a hook checkpoints the run periodically (see
-/// [`CheckpointHook`]).
-///
-/// # Errors
-///
-/// As [`run_incremental_with_churn`].
-pub fn run_incremental_from<'g, 'a>(
-    tracker: MassTracker<'g>,
-    options: LearningOptions,
-    plan: &'a ChurnPlan,
-    hook: Option<CheckpointHook<'a>>,
-) -> Result<LearningOutcome, LearningError> {
-    let mut builder = Dynamics::new(tracker.game())
-        .from_tracker(tracker)
-        .options(options)
-        .churn(plan);
-    if let Some(hook) = hook {
-        builder = builder.checkpoint(hook);
-    }
-    builder.run()
 }
 
 /// The scheduler-free engine: churn interleaving and the tracker's own
@@ -627,23 +447,13 @@ fn incremental_engine(
     }
 }
 
-/// A borrowed step observer: called with the configuration *after* each
-/// executed move, and the move itself.
-type Observer<'a> = &'a mut dyn FnMut(&Configuration, Move);
-
 /// The **single entry point** of the learning engine: a builder that
 /// assembles a better-response run from its independent ingredients —
 /// where to start (a configuration, a [`Snapshot`], or a live
 /// [`MassTracker`]), who picks the moves (a [`Scheduler`], or the
 /// tracker's own group round-robin when none is given), what churns
 /// (a [`ChurnPlan`]), and what watches (an [`Instrument`] — per-step,
-/// per-delta, and periodic-checkpoint callbacks in one trait; the
-/// legacy [`Dynamics::observer`] / [`Dynamics::checkpoint`] seams
-/// remain and compose with it).
-///
-/// The classic `run*` functions are thin wrappers over this builder and
-/// remain for callers that want the narrow signatures; new call sites
-/// should come through here.
+/// per-delta, and periodic-checkpoint callbacks in one trait).
 ///
 /// Starting-state precedence when several are set:
 /// [`Dynamics::from_tracker`] > [`Dynamics::from_snapshot`] >
@@ -668,10 +478,11 @@ type Observer<'a> = &'a mut dyn FnMut(&Configuration, Move);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 ///
-/// A scheduled run with an observer:
+/// A scheduled run with a step observer (any
+/// `FnMut(&Configuration, Move)` closure is an [`Instrument`]):
 ///
 /// ```
-/// use goc_game::{CoinId, Configuration, Game};
+/// use goc_game::{CoinId, Configuration, Game, Move};
 /// use goc_learning::{Dynamics, RoundRobin};
 ///
 /// let game = Game::build(&[2, 1], &[1, 1])?;
@@ -680,7 +491,7 @@ type Observer<'a> = &'a mut dyn FnMut(&Configuration, Move);
 /// let outcome = Dynamics::new(&game)
 ///     .start(&start)
 ///     .scheduler(&mut RoundRobin::new())
-///     .observer(&mut |_, mv| trace.push(mv))
+///     .instrument(&mut |_: &Configuration, mv: Move| trace.push(mv))
 ///     .run()?;
 /// assert_eq!(trace.len(), outcome.steps);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -694,8 +505,6 @@ pub struct Dynamics<'g, 'a> {
     options: LearningOptions,
     plan: Option<&'a ChurnPlan>,
     instrument: Option<&'a mut dyn Instrument>,
-    observer: Option<Observer<'a>>,
-    hook: Option<CheckpointHook<'a>>,
 }
 
 impl<'g, 'a> Dynamics<'g, 'a> {
@@ -711,8 +520,6 @@ impl<'g, 'a> Dynamics<'g, 'a> {
             options: LearningOptions::default(),
             plan: None,
             instrument: None,
-            observer: None,
-            hook: None,
         }
     }
 
@@ -761,42 +568,16 @@ impl<'g, 'a> Dynamics<'g, 'a> {
         self
     }
 
-    /// Threads `instrument` through the run — the unified watching
+    /// Threads `instrument` through the run — the single watching
     /// seam: per-step, per-delta, and periodic-checkpoint callbacks in
-    /// one trait (see [`Instrument`]). Closures of the classic observer
-    /// shape `FnMut(&Configuration, Move)` are instruments via the
-    /// blanket impl, as is [`CheckpointHook`]; telemetry attaches the
-    /// same way ([`DynamicsTelemetry`]).
-    ///
-    /// Composes with the legacy [`Dynamics::observer`] /
-    /// [`Dynamics::checkpoint`] seams: when more than one watcher is
-    /// set, all of them see the run.
+    /// one trait (see [`Instrument`]). Step-observer closures
+    /// `FnMut(&Configuration, Move)` are instruments via the blanket
+    /// impl, as is [`CheckpointHook`]; telemetry attaches the same way
+    /// ([`DynamicsTelemetry`]).
     ///
     /// [`DynamicsTelemetry`]: crate::instrument::DynamicsTelemetry
     pub fn instrument(mut self, instrument: &'a mut dyn Instrument) -> Self {
         self.instrument = Some(instrument);
-        self
-    }
-
-    /// Calls `observer` after every applied move with the new
-    /// configuration.
-    ///
-    /// Legacy seam: [`Dynamics::instrument`] subsumes this (a closure
-    /// of this shape *is* an [`Instrument`]); kept so existing observer
-    /// call sites compile unchanged.
-    pub fn observer(mut self, observer: &'a mut dyn FnMut(&Configuration, Move)) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Captures a [`Snapshot`] every `hook.every` steps (see
-    /// [`CheckpointHook`]).
-    ///
-    /// Legacy seam: [`Dynamics::instrument`] subsumes this
-    /// ([`CheckpointHook`] implements [`Instrument`]); kept so existing
-    /// checkpoint call sites compile unchanged.
-    pub fn checkpoint(mut self, hook: CheckpointHook<'a>) -> Self {
-        self.hook = Some(hook);
         self
     }
 
@@ -807,7 +588,7 @@ impl<'g, 'a> Dynamics<'g, 'a> {
     /// * [`LearningError::MissingStart`] without a starting state.
     /// * [`LearningError::SnapshotMismatch`] if a snapshot start
     ///   captures a different game.
-    /// * The engine errors of the classic entry points:
+    /// * The engine errors:
     ///   [`LearningError::NotABetterResponse`],
     ///   [`LearningError::PotentialViolation`],
     ///   [`LearningError::SchedulerFailed`],
@@ -826,58 +607,16 @@ impl<'g, 'a> Dynamics<'g, 'a> {
         } else {
             return Err(LearningError::MissingStart);
         };
-        // Fold the legacy observer/checkpoint seams and the instrument
-        // into the engine's single watcher. A `&mut dyn FnMut` observer
-        // is itself `FnMut`, so the blanket impl covers it; a lone
-        // watcher is passed straight through with no fan-out layer.
-        let mut observer = self.observer;
-        let mut hook = self.hook;
-        let mut parts: Vec<&mut dyn Instrument> = Vec::new();
-        if let Some(instrument) = self.instrument {
-            parts.push(instrument);
-        }
-        if let Some(observer) = observer.as_mut() {
-            parts.push(observer);
-        }
-        if let Some(hook) = hook.as_mut() {
-            parts.push(hook);
-        }
         let mut noop = NoInstrument;
-        let mut fan;
-        let instrument: &mut dyn Instrument = if parts.is_empty() {
-            &mut noop
-        } else if parts.len() == 1 {
-            parts.pop().expect("exactly one watcher")
-        } else {
-            fan = Fanout::new(parts);
-            &mut fan
+        let instrument: &mut dyn Instrument = match self.instrument {
+            Some(instrument) => instrument,
+            None => &mut noop,
         };
         match self.scheduler {
             Some(scheduler) => scheduled_engine(tracker, scheduler, self.options, plan, instrument),
             None => incremental_engine(tracker, self.options, plan, instrument),
         }
     }
-}
-
-/// Convenience: run to convergence with defaults and return only the final
-/// stable configuration and step count.
-///
-/// # Panics
-///
-/// Panics if the scheduler misbehaves (cannot happen for the bundled
-/// schedulers) or the step cap is hit.
-pub fn converge(
-    game: &Game,
-    start: &Configuration,
-    scheduler: &mut dyn Scheduler,
-) -> (Configuration, usize) {
-    let outcome = run(game, start, scheduler, LearningOptions::default())
-        .expect("bundled schedulers only return legal moves");
-    assert!(
-        outcome.converged,
-        "better-response learning did not converge within the step cap"
-    );
-    (outcome.final_config, outcome.steps)
 }
 
 #[cfg(test)]
@@ -893,9 +632,14 @@ mod tests {
     fn converges_on_prop1_game() {
         let game = goc_game::paper::prop1_game();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        let (final_config, steps) = converge(&game, &start, &mut RoundRobin::new());
-        assert!(game.is_stable(&final_config));
-        assert!(steps >= 1);
+        let outcome = Dynamics::new(&game)
+            .start(&start)
+            .scheduler(&mut RoundRobin::new())
+            .run()
+            .unwrap();
+        assert!(outcome.converged);
+        assert!(game.is_stable(&outcome.final_config));
+        assert!(outcome.steps >= 1);
     }
 
     #[test]
@@ -912,17 +656,16 @@ mod tests {
             let start = goc_game::gen::random_config(&mut rng, game.system());
             for kind in SchedulerKind::ALL {
                 let mut sched = kind.build(trial);
-                let outcome = run(
-                    &game,
-                    &start,
-                    sched.as_mut(),
-                    LearningOptions {
+                let outcome = Dynamics::new(&game)
+                    .start(&start)
+                    .scheduler(sched.as_mut())
+                    .options(LearningOptions {
                         audit_potential: true,
                         record_path: true,
                         ..LearningOptions::default()
-                    },
-                )
-                .unwrap();
+                    })
+                    .run()
+                    .unwrap();
                 assert!(outcome.converged, "{kind} failed to converge");
                 assert!(game.is_stable(&outcome.final_config));
                 assert_eq!(outcome.path.len(), outcome.steps);
@@ -935,16 +678,15 @@ mod tests {
     fn path_replay_reaches_final_config() {
         let game = goc_game::paper::btc_bch_toy();
         let start = Configuration::uniform(CoinId(1), game.system()).unwrap();
-        let outcome = run(
-            &game,
-            &start,
-            &mut UniformRandom::seeded(5),
-            LearningOptions {
+        let outcome = Dynamics::new(&game)
+            .start(&start)
+            .scheduler(&mut UniformRandom::seeded(5))
+            .options(LearningOptions {
                 record_path: true,
                 ..LearningOptions::default()
-            },
-        )
-        .unwrap();
+            })
+            .run()
+            .unwrap();
         let mut replay = start.clone();
         for mv in &outcome.path {
             assert_eq!(replay.coin_of(mv.miner), mv.from);
@@ -957,16 +699,15 @@ mod tests {
     fn step_cap_reports_non_convergence() {
         let game = goc_game::paper::btc_bch_toy();
         let start = Configuration::uniform(CoinId(1), game.system()).unwrap();
-        let outcome = run(
-            &game,
-            &start,
-            &mut MinGain,
-            LearningOptions {
+        let outcome = Dynamics::new(&game)
+            .start(&start)
+            .scheduler(&mut MinGain)
+            .options(LearningOptions {
                 max_steps: 1,
                 ..LearningOptions::default()
-            },
-        )
-        .unwrap();
+            })
+            .run()
+            .unwrap();
         assert!(!outcome.converged);
         assert_eq!(outcome.steps, 1);
     }
@@ -998,7 +739,11 @@ mod tests {
         }
         let game = goc_game::paper::prop1_game();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        let err = run(&game, &start, &mut Rogue, LearningOptions::default()).unwrap_err();
+        let err = Dynamics::new(&game)
+            .start(&start)
+            .scheduler(&mut Rogue)
+            .run()
+            .unwrap_err();
         assert!(matches!(err, LearningError::NotABetterResponse { .. }));
         assert!(!err.to_string().is_empty());
     }
@@ -1008,14 +753,12 @@ mod tests {
         let game = goc_game::paper::btc_bch_toy();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
         let mut observed = 0usize;
-        let outcome = run_with_observer(
-            &game,
-            &start,
-            &mut RoundRobin::new(),
-            LearningOptions::default(),
-            |_, _| observed += 1,
-        )
-        .unwrap();
+        let outcome = Dynamics::new(&game)
+            .start(&start)
+            .scheduler(&mut RoundRobin::new())
+            .instrument(&mut |_: &Configuration, _: Move| observed += 1)
+            .run()
+            .unwrap();
         assert_eq!(observed, outcome.steps);
     }
 
@@ -1023,13 +766,11 @@ mod tests {
     fn stable_start_is_zero_steps() {
         let game = goc_game::paper::prop1_game();
         let eq = goc_game::equilibrium::greedy_equilibrium(&game);
-        let outcome = run(
-            &game,
-            &eq,
-            &mut RoundRobin::new(),
-            LearningOptions::default(),
-        )
-        .unwrap();
+        let outcome = Dynamics::new(&game)
+            .start(&eq)
+            .scheduler(&mut RoundRobin::new())
+            .run()
+            .unwrap();
         assert!(outcome.converged);
         assert_eq!(outcome.steps, 0);
         assert_eq!(outcome.final_config, eq);
@@ -1047,16 +788,15 @@ mod tests {
         for _ in 0..10 {
             let game = spec.sample(&mut rng).unwrap();
             let start = goc_game::gen::random_config(&mut rng, game.system());
-            let outcome = run_incremental(
-                &game,
-                &start,
-                LearningOptions {
+            let outcome = Dynamics::new(&game)
+                .start(&start)
+                .options(LearningOptions {
                     audit_potential: true,
                     record_path: true,
                     ..LearningOptions::default()
-                },
-            )
-            .unwrap();
+                })
+                .run()
+                .unwrap();
             assert!(outcome.converged);
             assert!(game.is_stable(&outcome.final_config));
             assert_eq!(outcome.path.len(), outcome.steps);
@@ -1078,15 +818,14 @@ mod tests {
     fn incremental_path_respects_step_cap() {
         let game = goc_game::paper::btc_bch_toy();
         let start = Configuration::uniform(CoinId(1), game.system()).unwrap();
-        let outcome = run_incremental(
-            &game,
-            &start,
-            LearningOptions {
+        let outcome = Dynamics::new(&game)
+            .start(&start)
+            .options(LearningOptions {
                 max_steps: 1,
                 ..LearningOptions::default()
-            },
-        )
-        .unwrap();
+            })
+            .run()
+            .unwrap();
         assert!(!outcome.converged);
         assert_eq!(outcome.steps, 1);
     }
@@ -1103,17 +842,13 @@ mod tests {
             ])
             .unwrap();
         let start = Configuration::uniform(CoinId(1), game.system()).unwrap();
-        let outcome = run_incremental(&game, &start, LearningOptions::default()).unwrap();
+        let outcome = Dynamics::new(&game).start(&start).run().unwrap();
         assert!(outcome.converged);
         assert!(game.is_stable(&outcome.final_config));
 
-        let eq = goc_game::equilibrium::greedy_equilibrium(&goc_game::paper::prop1_game());
-        let outcome = run_incremental(
-            &goc_game::paper::prop1_game(),
-            &eq,
-            LearningOptions::default(),
-        )
-        .unwrap();
+        let prop1 = goc_game::paper::prop1_game();
+        let eq = goc_game::equilibrium::greedy_equilibrium(&prop1);
+        let outcome = Dynamics::new(&prop1).start(&eq).run().unwrap();
         assert!(outcome.converged);
         assert_eq!(outcome.steps, 0);
         assert_eq!(outcome.final_config, eq);
@@ -1129,7 +864,7 @@ mod tests {
         let powers: Vec<u64> = (0..3_000).map(|i| classes[i % classes.len()]).collect();
         let game = Game::build(&powers, &[60, 30, 10]).unwrap();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        let outcome = run_incremental(&game, &start, LearningOptions::default()).unwrap();
+        let outcome = Dynamics::new(&game).start(&start).run().unwrap();
         assert!(outcome.converged);
         assert!(outcome.steps >= 1_000, "suspiciously few steps");
         let tracker = goc_game::MassTracker::new(&game, &outcome.final_config).unwrap();
@@ -1183,17 +918,16 @@ mod tests {
         };
         for kind in SchedulerKind::ALL {
             let mut sched = kind.build(7);
-            let outcome = run_with_churn(
-                &game,
-                &start,
-                sched.as_mut(),
-                LearningOptions {
+            let outcome = Dynamics::new(&game)
+                .start(&start)
+                .scheduler(sched.as_mut())
+                .options(LearningOptions {
                     audit_potential: true,
                     ..LearningOptions::default()
-                },
-                &plan,
-            )
-            .unwrap_or_else(|e| panic!("{kind}: {e}"));
+                })
+                .churn(&plan)
+                .run()
+                .unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert!(outcome.converged, "{kind} did not converge under churn");
             assert_eq!(outcome.churn_applied, plan.events.len(), "{kind}");
             // The final state is stable by the naive dense oracle.
@@ -1235,13 +969,19 @@ mod tests {
                 },
             ],
         };
-        let incremental =
-            run_incremental_with_churn(&game, &start, LearningOptions::default(), &plan).unwrap();
+        let incremental = Dynamics::new(&game)
+            .start(&start)
+            .churn(&plan)
+            .run()
+            .unwrap();
         assert!(incremental.converged);
         assert_eq!(incremental.churn_applied, 2);
-        let mut rr = RoundRobin::new();
-        let scheduled =
-            run_with_churn(&game, &start, &mut rr, LearningOptions::default(), &plan).unwrap();
+        let scheduled = Dynamics::new(&game)
+            .start(&start)
+            .scheduler(&mut RoundRobin::new())
+            .churn(&plan)
+            .run()
+            .unwrap();
         assert!(scheduled.converged);
         assert_eq!(scheduled.churn_applied, 2);
         // Both engines end fully repopulated and stable under the naive
@@ -1282,14 +1022,12 @@ mod tests {
             ],
             ..ChurnPlan::default()
         };
-        let err = run_with_churn(
-            &game,
-            &start,
-            &mut RoundRobin::new(),
-            LearningOptions::default(),
-            &plan,
-        )
-        .unwrap_err();
+        let err = Dynamics::new(&game)
+            .start(&start)
+            .scheduler(&mut RoundRobin::new())
+            .churn(&plan)
+            .run()
+            .unwrap_err();
         assert!(matches!(err, LearningError::ChurnRejected { step: 0, .. }));
         assert!(err.to_string().contains("churn delta rejected"));
     }
@@ -1310,14 +1048,12 @@ mod tests {
             }],
             ..ChurnPlan::default()
         };
-        let outcome = run_with_churn(
-            &game,
-            &eq,
-            &mut RoundRobin::new(),
-            LearningOptions::default(),
-            &plan,
-        )
-        .unwrap();
+        let outcome = Dynamics::new(&game)
+            .start(&eq)
+            .scheduler(&mut RoundRobin::new())
+            .churn(&plan)
+            .run()
+            .unwrap();
         assert!(outcome.converged);
         assert_eq!(outcome.churn_applied, 1);
         let (miner_active, _) = outcome.final_activity.unwrap();
@@ -1328,20 +1064,17 @@ mod tests {
     fn warm_start_from_a_fork_matches_the_cold_run() {
         let game = Game::build(&[8, 5, 3, 2, 1, 1], &[7, 4, 2]).unwrap();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        let cold = run_incremental(&game, &start, LearningOptions::default()).unwrap();
+        let cold = Dynamics::new(&game).start(&start).run().unwrap();
         // Fork the *starting* state through a snapshot round-trip and
         // continue from it: the trajectory (and thus the equilibrium and
         // step count) must be identical.
         let tracker = goc_game::MassTracker::new(&game, &start).unwrap();
         let bytes = Snapshot::of(&tracker).encode();
         let snap = Snapshot::try_from(bytes.as_slice()).unwrap();
-        let warm = run_incremental_from(
-            snap.fork(),
-            LearningOptions::default(),
-            &ChurnPlan::default(),
-            None,
-        )
-        .unwrap();
+        let warm = Dynamics::new(&game)
+            .from_tracker(snap.fork_into(&game).unwrap())
+            .run()
+            .unwrap();
         assert!(warm.converged);
         assert_eq!(warm.steps, cold.steps);
         assert_eq!(warm.final_config, cold.final_config);
@@ -1375,17 +1108,16 @@ mod tests {
         let mut sink = |steps: usize, snap: Snapshot| {
             checkpoints.push((steps, snap.encode()));
         };
-        let tracker = goc_game::MassTracker::new(&game, &start).unwrap();
-        let full = run_incremental_from(
-            tracker,
-            LearningOptions::default(),
-            &plan,
-            Some(CheckpointHook {
-                every: 1,
-                sink: &mut sink,
-            }),
-        )
-        .unwrap();
+        let mut hook = CheckpointHook {
+            every: 1,
+            sink: &mut sink,
+        };
+        let full = Dynamics::new(&game)
+            .start(&start)
+            .churn(&plan)
+            .instrument(&mut hook)
+            .run()
+            .unwrap();
         assert!(full.converged);
         assert_eq!(checkpoints.len(), full.steps, "one checkpoint per step");
         // Resume from the first checkpoint: replay only the not-yet-due
@@ -1406,9 +1138,11 @@ mod tests {
                 })
                 .collect(),
         };
-        let resumed =
-            run_incremental_from(snap.fork(), LearningOptions::default(), &remaining, None)
-                .unwrap();
+        let resumed = Dynamics::new(&game)
+            .from_snapshot(&snap)
+            .churn(&remaining)
+            .run()
+            .unwrap();
         assert!(resumed.converged);
         assert_eq!(resumed.final_config, full.final_config);
         assert_eq!(resumed.steps + at, full.steps);
@@ -1462,33 +1196,11 @@ mod tests {
                 record_path: true,
                 ..LearningOptions::default()
             })
-            .observer(&mut |_, mv| trace.push(mv))
+            .instrument(&mut |_: &Configuration, mv: Move| trace.push(mv))
             .run()
             .unwrap();
         assert!(outcome.converged);
         assert_eq!(trace, outcome.path);
-    }
-
-    #[test]
-    fn builder_and_wrappers_agree_on_every_scheduler() {
-        let game = Game::build(&[5, 3, 3, 2, 1], &[9, 4, 2]).unwrap();
-        let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        for kind in SchedulerKind::ALL {
-            let via_wrapper = run(
-                &game,
-                &start,
-                kind.build(7).as_mut(),
-                LearningOptions::default(),
-            )
-            .unwrap();
-            let via_builder = Dynamics::new(&game)
-                .start(&start)
-                .scheduler(kind.build(7).as_mut())
-                .run()
-                .unwrap();
-            assert_eq!(via_wrapper.steps, via_builder.steps, "{kind} diverged");
-            assert_eq!(via_wrapper.final_config, via_builder.final_config);
-        }
     }
 
     #[test]
@@ -1507,13 +1219,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         for seed in 0..10 {
             let start = goc_game::gen::random_config_restricted(&mut rng, &game);
-            let outcome = run(
-                &game,
-                &start,
-                &mut UniformRandom::seeded(seed),
-                LearningOptions::default(),
-            )
-            .unwrap();
+            let outcome = Dynamics::new(&game)
+                .start(&start)
+                .scheduler(&mut UniformRandom::seeded(seed))
+                .run()
+                .unwrap();
             assert!(outcome.converged);
         }
     }

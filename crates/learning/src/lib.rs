@@ -7,8 +7,9 @@
 //! round-robin best response to adversarially slow min-gain) and audit the
 //! ordinal-potential monotonicity along the way.
 //!
-//! Every run is assembled by the [`Dynamics`] builder — the single entry
-//! point; the classic `run*` functions are thin wrappers over it.
+//! Every run is assembled by the [`Dynamics`] builder, the single entry
+//! point: pick a start, optionally a scheduler, a churn plan, and an
+//! [`Instrument`], then call [`Dynamics::run`].
 //!
 //! ```
 //! use goc_game::{CoinId, Configuration, Game};
@@ -37,9 +38,8 @@ pub mod simultaneous;
 pub mod stats;
 
 pub use dynamics::{
-    converge, run, run_incremental, run_incremental_from, run_incremental_with_churn,
-    run_with_churn, run_with_observer, CheckpointHook, ChurnEvent, ChurnPlan, Dynamics,
-    LearningError, LearningOptions, LearningOutcome,
+    CheckpointHook, ChurnEvent, ChurnPlan, Dynamics, LearningError, LearningOptions,
+    LearningOutcome,
 };
 pub use instrument::{DynamicsTelemetry, DynamicsTracing, Instrument, NoInstrument};
 pub use scheduler::{

@@ -366,6 +366,31 @@ proptest! {
     }
 
     #[test]
+    fn nesting_deeper_than_128_is_malformed_and_never_wedges(
+        depth in 96usize..192,
+        shape in 0u64..u64::MAX,
+        request in arb_request(),
+    ) {
+        // A frame nested past the parser's depth cap (serde_json's
+        // recursion limit, 128) is one named fault; the stream goes on.
+        let envelope = RequestEnvelope::new(13, request);
+        let mut bytes = nested(depth, shape).into_bytes();
+        bytes.push(b'\n');
+        bytes.extend_from_slice(&serde_json::to_vec(&envelope).expect("serializes"));
+        bytes.push(b'\n');
+
+        let parsed = serde_json::from_str::<serde_json::Value>(&nested(depth, shape));
+        prop_assert_eq!(parsed.is_ok(), depth <= 128, "depth {}", depth);
+        let mut conn = Connection::new(Duplex::scripted(&bytes));
+        let err = conn.recv_request().unwrap_err();
+        prop_assert!(matches!(err, ProtoError::Malformed { .. }), "got {err}");
+        if depth > 128 {
+            prop_assert!(err.to_string().contains("recursion limit"), "got {err}");
+        }
+        prop_assert_eq!(conn.recv_request().expect("stream recovered"), envelope);
+    }
+
+    #[test]
     fn reject_reason_names_stay_snake_case(reason in arb_reason()) {
         let name = reason.name();
         prop_assert!(!name.is_empty());
@@ -379,6 +404,32 @@ proptest! {
         let json = serde_json::to_string(&reason).expect("reasons serialize");
         let back: RejectReason = serde_json::from_str(&json).expect("reasons parse back");
         prop_assert_eq!(back, reason);
+    }
+}
+
+/// A JSON value nested `depth` containers deep; bit `i % 64` of `shape`
+/// picks an array or an object for level `i`.
+fn nested(depth: usize, shape: u64) -> String {
+    let arrays: Vec<bool> = (0..depth).map(|i| shape >> (i % 64) & 1 == 0).collect();
+    let mut text = String::new();
+    for &array in &arrays {
+        text.push_str(if array { "[" } else { "{\"k\":" });
+    }
+    text.push('0');
+    for &array in arrays.iter().rev() {
+        text.push(if array { ']' } else { '}' });
+    }
+    text
+}
+
+/// The parser accepts exactly 128 levels of nesting, arrays and objects
+/// alike, and names the 129th.
+#[test]
+fn nesting_depth_128_parses_and_129_errors() {
+    for shape in [0, u64::MAX, 0x5555_5555_5555_5555] {
+        assert!(serde_json::from_str::<serde_json::Value>(&nested(128, shape)).is_ok());
+        let err = serde_json::from_str::<serde_json::Value>(&nested(129, shape)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
     }
 }
 

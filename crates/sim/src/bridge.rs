@@ -82,7 +82,8 @@ pub fn snapshot_game(
 /// executes the same timeline mechanistically
 /// ([`Simulation::with_churn`](crate::Simulation)), while the learning
 /// layer replays `deltas` through `MassTracker::apply_delta` /
-/// `run_with_churn` with **no rebuild per population change**.
+/// a churny `goc_learning::Dynamics` run with **no rebuild per
+/// population change**.
 #[derive(Debug, Clone)]
 pub struct ChurnUniverse {
     /// The static game over the full universe (dormant rigs and

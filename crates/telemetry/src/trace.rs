@@ -30,7 +30,7 @@
 //!
 //! Events are typed by the closed [`TraceEventKind`] enum — the engine
 //! (step pick / delta apply / cache re-probe), the ensemble layer
-//! (replica start/finish, snapshot encode/decode/fork), and the server
+//! (replica start/finish, per-replica tracker build), and the server
 //! (request admit/serve/reject) — and each carries a caller-chosen
 //! 64-bit correlation value. The server threads the wire envelope's
 //! correlation id through every span it emits, so a per-request
@@ -85,12 +85,9 @@ pub enum TraceEventKind {
     ReplicaStart,
     /// An ensemble replica finished (correlation = replica index).
     ReplicaFinish,
-    /// Binary snapshot encode of the shared ensemble universe.
-    SnapshotEncode,
-    /// Binary snapshot decode (with full revalidation).
-    SnapshotDecode,
-    /// Per-replica population fork off the decoded snapshot.
-    SnapshotFork,
+    /// Per-replica tracker construction (span; correlation = replica
+    /// index).
+    TrackerBuild,
     /// The server admitted a request (correlation = envelope id).
     RequestAdmit,
     /// The server computed + replied to a request (span; correlation =
@@ -102,15 +99,13 @@ pub enum TraceEventKind {
 
 impl TraceEventKind {
     /// Every kind, in wire-code order (`kind as u64` indexes this).
-    pub const ALL: [TraceEventKind; 11] = [
+    pub const ALL: [TraceEventKind; 9] = [
         TraceEventKind::StepPick,
         TraceEventKind::DeltaApply,
         TraceEventKind::CacheReprobe,
         TraceEventKind::ReplicaStart,
         TraceEventKind::ReplicaFinish,
-        TraceEventKind::SnapshotEncode,
-        TraceEventKind::SnapshotDecode,
-        TraceEventKind::SnapshotFork,
+        TraceEventKind::TrackerBuild,
         TraceEventKind::RequestAdmit,
         TraceEventKind::RequestServe,
         TraceEventKind::RequestReject,
@@ -124,9 +119,7 @@ impl TraceEventKind {
             TraceEventKind::CacheReprobe => "cache_reprobe",
             TraceEventKind::ReplicaStart => "replica_start",
             TraceEventKind::ReplicaFinish => "replica_finish",
-            TraceEventKind::SnapshotEncode => "snapshot_encode",
-            TraceEventKind::SnapshotDecode => "snapshot_decode",
-            TraceEventKind::SnapshotFork => "snapshot_fork",
+            TraceEventKind::TrackerBuild => "tracker_build",
             TraceEventKind::RequestAdmit => "request_admit",
             TraceEventKind::RequestServe => "request_serve",
             TraceEventKind::RequestReject => "request_reject",
