@@ -50,7 +50,7 @@ use executor::{replica_seed, run_indexed_recorded, ExecutorMetrics};
 
 /// Resolution (fraction of a rig's hashrate) used when quantizing churn
 /// scenarios to integer game powers — the same constant the `churn`
-/// experiment and the `BENCH_*.json` recorder pass to
+/// experiment and the `perfbench` benchmark pass to
 /// [`goc_sim::churn_universe`].
 const CHURN_RESOLUTION: f64 = 1e-4;
 
@@ -119,7 +119,7 @@ impl EnsembleSpec {
     /// Attaches the shared churn fixture's plan at the given population
     /// turnover target (percent) — the same arrival/departure processes
     /// plus one coin launch and one retirement that the `churn`
-    /// experiment and `BENCH_*.json` drive.
+    /// experiment and `perfbench` drive.
     pub fn with_churn(mut self, turnover_pct: u32) -> Self {
         self.churn = goc_sim::fixtures::scale_churn_scenario(
             self.miners,

@@ -35,9 +35,8 @@
 //!
 //! Timing convention: wall-clock only ever appears in `secs`/`per_sec`
 //! params, tables titled `timing`, and checks named `wall` — the golden
-//! comparator strips exactly those. Recorded churn throughput lives in
-//! `BENCH_4.json` (see `goc-bench`'s `baseline` bin and the CI perf
-//! gate).
+//! comparator strips exactly those. Churn throughput is measured by
+//! `perfbench`'s `ensemble-sched-churn` workload.
 
 use std::time::Instant;
 

@@ -26,9 +26,7 @@
 //! Timing convention: wall-clock only ever appears in `secs`/`per_sec`
 //! params, tables titled `timing`, and checks named `wall` — the golden
 //! comparator strips exactly those, so results are regression-locked
-//! while throughput floats with the hardware. Recorded per-scheduler
-//! throughput lives in `BENCH_3.json` (see `goc-bench`'s `baseline`
-//! bin and the CI perf gate).
+//! while throughput floats with the hardware.
 
 use std::time::Instant;
 

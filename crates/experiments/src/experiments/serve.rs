@@ -41,8 +41,8 @@
 //!
 //! Timing convention: wall clock only appears in `secs`/`per_sec`
 //! params, tables titled `timing`, and checks named `wall` — the
-//! golden comparator strips exactly those. Recorded request throughput
-//! lives in `BENCH_6.json` (the `baseline` bin's `server` layer).
+//! golden comparator strips exactly those. Served latency and goodput
+//! are measured by `perfbench`'s `serve-open` workload.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;

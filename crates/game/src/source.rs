@@ -96,12 +96,6 @@ pub struct MoveSource<'g> {
     dirty: VecDeque<u32>,
     /// Number of groups currently cached as unstable.
     unstable: usize,
-    /// Lifetime count of `O(coins)` cache re-probes ([`recompute`]
-    /// calls) — the cost the decision cache exists to amortize, exposed
-    /// so instrumentation can report cache churn.
-    ///
-    /// [`recompute`]: MoveSource::recompute
-    reprobes: u64,
 }
 
 impl<'g> MoveSource<'g> {
@@ -124,14 +118,7 @@ impl<'g> MoveSource<'g> {
             cache: vec![Cached::Stale; groups],
             dirty: (0..groups as u32).collect(),
             unstable: 0,
-            reprobes: 0,
         }
-    }
-
-    /// How many `O(coins)` group re-probes the decision cache has run so
-    /// far — the work the cache amortizes, for instrumentation.
-    pub fn reprobe_count(&self) -> u64 {
-        self.reprobes
     }
 
     /// The underlying tracker (read-only; mutate through
@@ -217,7 +204,6 @@ impl<'g> MoveSource<'g> {
 
     /// Re-probes group `gid` from scratch: `O(coins)`.
     fn recompute(&mut self, gid: u32) {
-        self.reprobes += 1;
         let dec = self
             .tracker
             .min_member(gid)

@@ -130,12 +130,6 @@ pub struct LearningOutcome {
     pub potential_audit: Option<bool>,
     /// Number of churn deltas applied during the run (0 without a plan).
     pub churn_applied: usize,
-    /// Lifetime count of `O(coins)` group-decision cache re-probes the
-    /// run's [`MoveSource`] performed (0 for the scheduler-free
-    /// incremental engine, which rides the tracker directly). The
-    /// telemetry layer surfaces this as
-    /// `goc_dynamics_cache_reprobes_total`.
-    pub cache_reprobes: u64,
     /// Final `(miner, coin)` activity masks, when the run had a
     /// non-trivial [`ChurnPlan`] (`None` for fixed-population runs —
     /// everything stayed active).
@@ -265,7 +259,6 @@ fn scheduled_engine(
                 source.tracker().coin_activity().to_vec(),
             )
         });
-        let cache_reprobes = source.reprobe_count();
         LearningOutcome {
             final_config: source.into_config(),
             steps,
@@ -273,7 +266,6 @@ fn scheduled_engine(
             path,
             potential_audit: options.audit_potential.then_some(true),
             churn_applied,
-            cache_reprobes,
             final_activity,
         }
     };
@@ -365,7 +357,7 @@ impl Instrument for CheckpointHook<'_> {
 
 /// The scheduler-free engine: churn interleaving and the tracker's own
 /// group round-robin ([`MassTracker::find_improving_move`]) — the
-/// leanest loop, and the recorded `BENCH_*.json` dynamics workload.
+/// leanest loop, and what every scheduler-free ensemble replica runs.
 fn incremental_engine(
     mut tracker: MassTracker<'_>,
     options: LearningOptions,
@@ -395,9 +387,6 @@ fn incremental_engine(
             path,
             potential_audit: options.audit_potential.then_some(true),
             churn_applied,
-            // The incremental engine rides the tracker directly; there
-            // is no MoveSource decision cache to re-probe.
-            cache_reprobes: 0,
             final_activity,
         }
     };
@@ -463,8 +452,7 @@ fn incremental_engine(
 ///
 /// # Examples
 ///
-/// The scheduler-free incremental engine (the `BENCH_*.json` dynamics
-/// workload):
+/// The scheduler-free incremental engine:
 ///
 /// ```
 /// use goc_game::{CoinId, Configuration, Game};
@@ -572,10 +560,7 @@ impl<'g, 'a> Dynamics<'g, 'a> {
     /// seam: per-step, per-delta, and periodic-checkpoint callbacks in
     /// one trait (see [`Instrument`]). Step-observer closures
     /// `FnMut(&Configuration, Move)` are instruments via the blanket
-    /// impl, as is [`CheckpointHook`]; telemetry attaches the same way
-    /// ([`DynamicsTelemetry`]).
-    ///
-    /// [`DynamicsTelemetry`]: crate::instrument::DynamicsTelemetry
+    /// impl, as is [`CheckpointHook`].
     pub fn instrument(mut self, instrument: &'a mut dyn Instrument) -> Self {
         self.instrument = Some(instrument);
         self

@@ -187,7 +187,7 @@ impl Server {
     /// every named refusal, each carrying the wire envelope's
     /// correlation id — so a drained recorder reconstructs per-request
     /// timelines exactly. Backend ensembles trace onto the same
-    /// recorder (replica + snapshot spans). Pass
+    /// recorder (replica + `tracker_build` spans). Pass
     /// [`TraceRecorder::disabled`] (what [`Server::bind`] does) to keep
     /// the whole layer a one-relaxed-load no-op.
     ///
@@ -245,9 +245,10 @@ impl Server {
 
     /// A handle onto the server's metrics registry. The handle shares
     /// the server's instruments (the registry is a cheap `Arc` clone),
-    /// so it keeps reporting the final counters after [`Server::run`]
-    /// returns — the `serve` experiment and `goc serve --metrics` read
-    /// their post-drain expositions through it.
+    /// so it reports live while [`Server::run`] serves — `goc serve
+    /// --http` scrapes it — and keeps the final counters after `run`
+    /// returns, which `goc serve --metrics` prints and the `serve`
+    /// experiment checks against its own ledger.
     pub fn registry(&self) -> Registry {
         self.state.registry.clone()
     }
@@ -642,7 +643,7 @@ fn execute(
             .run_experiment(run, threads)
             .map(ReportPayload::Experiment),
         Request::RunEnsemble { spec } => {
-            // Replica/snapshot spans land on the server's own recorder
+            // Replica/tracker-build spans land on the server's own recorder
             // (registry stays out of it, exactly like `ensemble::run`).
             ensemble::run_traced(spec, threads, &Registry::disabled(), &state.tracer)
                 .map(ReportPayload::Ensemble)

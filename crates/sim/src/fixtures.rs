@@ -1,8 +1,7 @@
 //! The shared large-population fixture.
 //!
-//! The `scale` experiment, the `goc-bench` large-population benches, and
-//! the `baseline` recorder (the bin behind `BENCH_2.json`) must all
-//! measure the **same** workload, or the recorded baseline silently
+//! The `scale` experiment, the ensemble, and the `perfbench` benchmark
+//! must all measure the **same** workload, or the benchmark silently
 //! stops describing what the experiment runs. This module is that single
 //! source of truth: eight hashrate classes ([`SCALE_CLASSES`]) and the
 //! two populations built from them — a static game
@@ -142,8 +141,8 @@ pub fn scale_churn_base(n: usize, horizon_days: f64, seed: u64) -> ScenarioSpec 
 /// arrival/departure processes sized so the *expected* total turnover
 /// is ≈ `1.5 × turnover_pct%` of the head-count (the margin keeps
 /// realized turnover above the target with high probability). This is
-/// the single source of truth for the `churn` experiment, the churn
-/// benches, and the `BENCH_*.json` recorder.
+/// the single source of truth for the `churn` experiment, churny
+/// ensembles, and the `perfbench` benchmark.
 pub fn scale_churn_scenario(
     n: usize,
     horizon_days: f64,

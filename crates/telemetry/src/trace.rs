@@ -3,9 +3,8 @@
 //!
 //! Metrics ([`Registry`](crate::Registry)) answer *how much*; this
 //! module answers *what happened, in what order, and where the time
-//! went* inside one dynamics run, replica, or wire request. The design
-//! contract mirrors the metrics layer's cheap-when-off rule that
-//! `BENCH_9` pinned:
+//! went* inside one replica or wire request. The design contract
+//! mirrors the metrics layer's cheap-when-off rule:
 //!
 //! * **One relaxed load when disabled.** Every
 //!   [`TraceLane::instant`]/[`begin`](TraceLane::begin)/[`end`](TraceLane::end)
@@ -28,9 +27,8 @@
 //!   the recorder's creation [`Instant`] — wall-clock adjustments can
 //!   never reorder a timeline.
 //!
-//! Events are typed by the closed [`TraceEventKind`] enum — the engine
-//! (step pick / delta apply / cache re-probe), the ensemble layer
-//! (replica start/finish, per-replica tracker build), and the server
+//! Events are typed by the closed [`TraceEventKind`] enum — the ensemble
+//! layer (replica start/finish, per-replica tracker build) and the server
 //! (request admit/serve/reject) — and each carries a caller-chosen
 //! 64-bit correlation value. The server threads the wire envelope's
 //! correlation id through every span it emits, so a per-request
@@ -65,8 +63,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default ring capacity of one lane, in records. At 32 bytes per slot
-/// this is 128 KiB per writer — a few milliseconds of full-rate engine
-/// stepping, or thousands of request spans.
+/// this is 128 KiB per writer — thousands of replica or request spans.
 pub const DEFAULT_LANE_CAPACITY: usize = 4096;
 
 /// The closed vocabulary of trace events. Keeping it an enum (not
@@ -75,12 +72,6 @@ pub const DEFAULT_LANE_CAPACITY: usize = 4096;
 /// Chrome-trace event name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceEventKind {
-    /// The learning engine applied one better-response move.
-    StepPick,
-    /// The learning engine applied one churn delta.
-    DeltaApply,
-    /// Decision-cache re-probes of a run (correlation = the count).
-    CacheReprobe,
     /// An ensemble replica began (correlation = replica index).
     ReplicaStart,
     /// An ensemble replica finished (correlation = replica index).
@@ -99,10 +90,7 @@ pub enum TraceEventKind {
 
 impl TraceEventKind {
     /// Every kind, in wire-code order (`kind as u64` indexes this).
-    pub const ALL: [TraceEventKind; 9] = [
-        TraceEventKind::StepPick,
-        TraceEventKind::DeltaApply,
-        TraceEventKind::CacheReprobe,
+    pub const ALL: [TraceEventKind; 6] = [
         TraceEventKind::ReplicaStart,
         TraceEventKind::ReplicaFinish,
         TraceEventKind::TrackerBuild,
@@ -114,9 +102,6 @@ impl TraceEventKind {
     /// The snake_case event name (the Chrome-trace `name` field).
     pub fn name(self) -> &'static str {
         match self {
-            TraceEventKind::StepPick => "step_pick",
-            TraceEventKind::DeltaApply => "delta_apply",
-            TraceEventKind::CacheReprobe => "cache_reprobe",
             TraceEventKind::ReplicaStart => "replica_start",
             TraceEventKind::ReplicaFinish => "replica_finish",
             TraceEventKind::TrackerBuild => "tracker_build",
@@ -177,7 +162,7 @@ pub struct TraceEvent {
     /// The lane (writer ring) that recorded it — the Chrome `tid`.
     pub lane: usize,
     /// Caller-chosen correlation value (wire envelope id, replica
-    /// index, re-probe count — see [`TraceEventKind`]).
+    /// index — see [`TraceEventKind`]).
     pub correlation: u64,
 }
 
@@ -580,7 +565,7 @@ mod tests {
         let recorder = TraceRecorder::new(8);
         let lane = recorder.lane();
         for i in 0..20u64 {
-            lane.instant(TraceEventKind::StepPick, i);
+            lane.instant(TraceEventKind::ReplicaStart, i);
         }
         let snap = recorder.snapshot();
         assert_eq!(snap.events.len(), 8);
@@ -593,7 +578,7 @@ mod tests {
     fn disabled_and_standby_recorders_emit_nothing() {
         for recorder in [TraceRecorder::disabled(), TraceRecorder::standby(8)] {
             let lane = recorder.lane();
-            lane.instant(TraceEventKind::StepPick, 1);
+            lane.instant(TraceEventKind::ReplicaStart, 1);
             let _span = lane.span(TraceEventKind::RequestServe, 2);
             let snap = recorder.snapshot();
             assert!(!snap.enabled);
@@ -606,9 +591,9 @@ mod tests {
     fn standby_recorders_collect_after_enable() {
         let recorder = TraceRecorder::standby(8);
         let lane = recorder.lane();
-        lane.instant(TraceEventKind::StepPick, 1); // dark
+        lane.instant(TraceEventKind::ReplicaStart, 1); // dark
         recorder.enable();
-        lane.instant(TraceEventKind::StepPick, 2);
+        lane.instant(TraceEventKind::ReplicaStart, 2);
         let snap = recorder.snapshot();
         assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.events[0].correlation, 2);

@@ -160,12 +160,12 @@ proptest! {
 fn chrome_export_round_trips_every_event() {
     let recorder = TraceRecorder::new(4);
     let lane = recorder.lane();
-    lane.instant(TraceEventKind::StepPick, 7); // overwritten below; dropped = 1
+    lane.instant(TraceEventKind::ReplicaStart, 7); // overwritten below; dropped = 1
     {
         let _serve = lane.span(TraceEventKind::RequestServe, 42);
         lane.instant(TraceEventKind::RequestAdmit, 42);
     }
-    lane.instant(TraceEventKind::DeltaApply, u64::MAX);
+    lane.instant(TraceEventKind::ReplicaFinish, u64::MAX);
     let snap = recorder.snapshot();
     assert_eq!(snap.events.len(), 4);
     assert_eq!(snap.dropped, 1);
