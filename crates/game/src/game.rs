@@ -1,6 +1,7 @@
 //! The game `G_{Π,C,F}` (paper §2): payoffs, revenue per unit, better
 //! responses, and stability.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -120,6 +121,67 @@ impl fmt::Display for Move {
         write!(f, "{}: {} → {}", self.miner, self.from, self.to)
     }
 }
+
+/// A post-join RPU `F(c) / mass`, held **unreduced** for comparison.
+///
+/// Every better-response query compares values of this shape. Reducing
+/// each one to a [`Ratio`] (what [`Game::rpu_after_join`] returns) costs
+/// two `u128` Euclid gcds; comparing two of them only needs a cross
+/// product. [`Ord`] cross-multiplies `num_a·den_b·mass_b` against
+/// `num_b·den_a·mass_a` in `u128` — rewards are non-negative, so every
+/// factor fits — and, should a product overflow, compares the reduced
+/// ratios instead. The order, ties included, is therefore exactly the
+/// [`Ratio`] order of the reduced values.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JoinRpu {
+    reward: Ratio,
+    mass: u128,
+}
+
+impl JoinRpu {
+    /// `reward / mass` for a non-negative reward and a positive mass.
+    pub(crate) fn new(reward: Ratio, mass: u128) -> Self {
+        debug_assert!(!reward.is_negative() && mass > 0);
+        JoinRpu { reward, mass }
+    }
+
+    /// The reduced value.
+    fn reduced(self) -> Ratio {
+        self.reward
+            .checked_div_int(self.mass as i128)
+            .expect("mass fits i128 by construction")
+    }
+
+    /// `num_self · den_other · mass_other`, or `None` on `u128` overflow.
+    fn cross(self, other: Self) -> Option<u128> {
+        (self.reward.numerator() as u128)
+            .checked_mul(other.reward.denominator() as u128)?
+            .checked_mul(other.mass)
+    }
+}
+
+impl Ord for JoinRpu {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self.cross(*other), other.cross(*self)) {
+            (Some(lhs), Some(rhs)) => lhs.cmp(&rhs),
+            _ => self.reduced().cmp(&other.reduced()),
+        }
+    }
+}
+
+impl PartialOrd for JoinRpu {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for JoinRpu {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for JoinRpu {}
 
 /// The game `G_{Π,C,F}`: a shared [`System`] plus a reward function, with
 /// optional per-miner coin restrictions (the "asymmetric case" of §6).
@@ -279,17 +341,24 @@ impl Game {
     /// The RPU miner `p` would experience after moving to `c`:
     /// `F(c) / (M_c(s) + m_p)` if `p` is not on `c`, otherwise `RPU_c(s)`.
     pub fn rpu_after_join(&self, p: MinerId, c: CoinId, current: CoinId, masses: &Masses) -> Ratio {
-        let m_p = u128::from(self.system.power_of(p));
+        self.join_rpu(p, c, current, masses).reduced()
+    }
+
+    /// [`Game::rpu_after_join`] left unreduced: the form every payoff
+    /// *comparison* uses (see [`JoinRpu`]).
+    pub(crate) fn join_rpu(
+        &self,
+        p: MinerId,
+        c: CoinId,
+        current: CoinId,
+        masses: &Masses,
+    ) -> JoinRpu {
         let mass = if current == c {
             masses.mass_of(c)
         } else {
-            masses.mass_of(c) + m_p
+            masses.mass_of(c) + u128::from(self.system.power_of(p))
         };
-        debug_assert!(mass > 0);
-        self.rewards
-            .of(c)
-            .checked_div_int(mass as i128)
-            .expect("mass fits i128 by construction")
+        JoinRpu::new(self.rewards.of(c), mass)
     }
 
     /// Miner `p`'s payoff `u_p(s) = m_p · RPU_{s.p}(s)`.
@@ -323,9 +392,7 @@ impl Game {
         if to == from || !self.allowed(p, to) {
             return false;
         }
-        let current = self.rpu_after_join(p, from, from, masses);
-        let target = self.rpu_after_join(p, to, from, masses);
-        target > current
+        self.join_rpu(p, to, from, masses) > self.join_rpu(p, from, from, masses)
     }
 
     /// The payoff gain for `p` of moving to `to` (may be negative).
@@ -352,13 +419,13 @@ impl Game {
     /// if `p` is stable.
     pub fn best_response(&self, p: MinerId, s: &Configuration, masses: &Masses) -> Option<CoinId> {
         let from = s.coin_of(p);
-        let current = self.rpu_after_join(p, from, from, masses);
-        let mut best: Option<(Ratio, CoinId)> = None;
+        let current = self.join_rpu(p, from, from, masses);
+        let mut best: Option<(JoinRpu, CoinId)> = None;
         for c in self.system.coin_ids() {
             if c == from || !self.allowed(p, c) {
                 continue;
             }
-            let target = self.rpu_after_join(p, c, from, masses);
+            let target = self.join_rpu(p, c, from, masses);
             if target > current && best.is_none_or(|(b, _)| target > b) {
                 best = Some((target, c));
             }
@@ -452,6 +519,8 @@ impl Game {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::config::Configuration;
 
@@ -637,6 +706,102 @@ mod tests {
         assert!(g
             .with_rewards(Rewards::from_integers(&[1]).unwrap())
             .is_err());
+    }
+
+    /// The three values a two-miner, two-coin game compares (`p0` on
+    /// `c0`, `p1` on `c1`): both current RPUs and `p0`'s post-join RPU
+    /// on `c1`, each as the kernel holds it and as `rpu_after_join`
+    /// reduces it.
+    fn join_values(rewards: [Ratio; 2], powers: [u64; 2]) -> [(JoinRpu, Ratio); 3] {
+        let g = Game::new(
+            System::new(&powers, 2).unwrap(),
+            Rewards::from_ratios(rewards.to_vec()).unwrap(),
+        )
+        .unwrap();
+        let s = cfg(&g, &[0, 1]);
+        let m = s.masses(g.system());
+        [
+            (MinerId(0), CoinId(0), CoinId(0)),
+            (MinerId(1), CoinId(1), CoinId(1)),
+            (MinerId(0), CoinId(1), CoinId(0)),
+        ]
+        .map(|(p, c, from)| (g.join_rpu(p, c, from, &m), g.rpu_after_join(p, c, from, &m)))
+    }
+
+    /// Every pairwise kernel comparison (`Equal` included) agrees with
+    /// the reduced-`Ratio` comparison.
+    fn kernel_orders_like_ratio(
+        rewards: [Ratio; 2],
+        powers: [u64; 2],
+    ) -> Result<(), TestCaseError> {
+        let values = join_values(rewards, powers);
+        for (a, ra) in values {
+            for (b, rb) in values {
+                prop_assert_eq!(a.cmp(&b), ra.cmp(&rb), "{a:?} vs {b:?}");
+                prop_assert_eq!(a == b, ra == rb, "{a:?} vs {b:?}");
+            }
+        }
+        Ok(())
+    }
+
+    /// Powers: mostly tiny (so ties are common), otherwise anywhere in
+    /// the validated range.
+    fn power() -> impl Strategy<Value = u64> {
+        prop_oneof![1u64..8, 1u64..=MAX_UNIT]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn kernel_orders_integer_rewards(
+            r0 in prop_oneof![0i128..4, 0i128..=MAX_UNIT as i128],
+            r1 in prop_oneof![0i128..4, 0i128..=MAX_UNIT as i128],
+            m0 in power(),
+            m1 in power(),
+        ) {
+            kernel_orders_like_ratio([Ratio::from_int(r0), Ratio::from_int(r1)], [m0, m1])?;
+        }
+
+        #[test]
+        fn kernel_orders_fractional_rewards(
+            (n0, d0) in (0i128..1 << 60, 1i128..=MAX_UNIT as i128),
+            (n1, d1) in (0i128..1 << 60, 1i128..=MAX_UNIT as i128),
+            m0 in power(),
+            m1 in power(),
+        ) {
+            let r = |n, d| Ratio::new(n, d).unwrap();
+            kernel_orders_like_ratio([r(n0, d0), r(n1, d1)], [m0, m1])?;
+        }
+
+        #[test]
+        fn kernel_orders_rewards_near_i128_max(
+            (n0, d0) in (i128::MAX - (1 << 40)..=i128::MAX, 1i128..1 << 10),
+            (n1, d1) in (i128::MAX - (1 << 40)..=i128::MAX, 1i128..1 << 10),
+            m0 in power(),
+            m1 in power(),
+        ) {
+            let r = |n, d| Ratio::new(n, d).unwrap();
+            kernel_orders_like_ratio([r(n0, d0), r(n1, d1)], [m0, m1])?;
+        }
+    }
+
+    #[test]
+    fn kernel_overflow_falls_back_to_reduced_order() {
+        // 6k/6 and 3k/3 are both k, but the cross products 6k·3 and 3k·6
+        // exceed u128: the tie must come from the reduced fallback.
+        let k = i128::MAX / 6;
+        let [(a, ra), (b, rb), _] =
+            join_values([Ratio::from_int(6 * k), Ratio::from_int(3 * k)], [6, 3]);
+        assert!(a.cross(b).is_none() && b.cross(a).is_none());
+        assert_eq!(ra, rb);
+        assert_eq!(a.cmp(&b), Ordering::Equal);
+        // One unit less on c1 breaks the tie, still through the fallback.
+        let [(a, _), (b, _), _] =
+            join_values([Ratio::from_int(6 * k), Ratio::from_int(3 * k - 1)], [6, 3]);
+        assert!(a.cross(b).is_none());
+        assert_eq!(a.cmp(&b), Ordering::Greater);
+        assert_eq!(b.cmp(&a), Ordering::Less);
     }
 
     #[test]

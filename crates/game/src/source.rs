@@ -15,12 +15,19 @@
 //! [`MoveSource::undo`] with a dirty-group queue:
 //!
 //! * groups keyed to the two coins a move touches are queued for a full
-//!   `O(coins)` re-probe (found by a key-range scan, not a group sweep);
+//!   `O(coins)` re-probe (found by a key-range scan over the tracker's
+//!   sorted keys, allocation-free, not a group sweep);
 //! * every other group gets an `O(1)` touch-up — the vacated coin is the
 //!   only coin that became *more* attractive, so a cached-stable group
 //!   can only turn unstable towards it, and a cached best response can
 //!   only be displaced by it (or invalidated when the joined coin *was*
 //!   the cached best).
+//!
+//! Re-probes and touch-ups compare payoffs the way the
+//! [tracker](crate::tracker) does: unreduced post-join RPUs,
+//! cross-multiplied, with no gcd on the hot path. A scheduled step costs
+//! `O(groups)` touch-up comparisons plus `O(coins)` per re-probed group,
+//! and both sides of a move touch every group keyed to its two coins.
 //!
 //! On top of the cache the source exposes the scheduler protocol —
 //! [`MoveSource::improving_move_for`], [`MoveSource::extremal_gain_move`],
@@ -62,7 +69,7 @@ use rand::Rng;
 use crate::config::{Configuration, Masses};
 use crate::delta::{AppliedDelta, Delta};
 use crate::error::GameError;
-use crate::game::{Game, Move};
+use crate::game::{Game, JoinRpu, Move};
 use crate::ids::{CoinId, MinerId};
 use crate::ratio::{Extended, Ratio};
 use crate::tracker::MassTracker;
@@ -193,13 +200,7 @@ impl<'g> MoveSource<'g> {
     }
 
     fn mark_stale(&mut self, gid: u32) {
-        let old = std::mem::replace(&mut self.cache[gid as usize], Cached::Stale);
-        match old {
-            Cached::Stale => return, // already queued
-            Cached::Decision(Some(_)) => self.unstable -= 1,
-            Cached::Decision(None) => {}
-        }
-        self.dirty.push_back(gid);
+        mark_stale(&mut self.cache, &mut self.dirty, &mut self.unstable, gid);
     }
 
     /// Re-probes group `gid` from scratch: `O(coins)`.
@@ -341,13 +342,13 @@ impl<'g> MoveSource<'g> {
     fn min_gain_target(&self, p: MinerId, from: CoinId) -> CoinId {
         let game = self.tracker.game();
         let masses = self.tracker.masses();
-        let current = game.rpu_after_join(p, from, from, masses);
-        let mut best: Option<(Ratio, CoinId)> = None;
+        let current = game.join_rpu(p, from, from, masses);
+        let mut best: Option<(JoinRpu, CoinId)> = None;
         for c in game.system().coin_ids() {
             if c == from || !self.tracker.is_coin_active(c) || !game.allowed(p, c) {
                 continue;
             }
-            let v = game.rpu_after_join(p, c, from, masses);
+            let v = game.join_rpu(p, c, from, masses);
             if v > current && best.is_none_or(|(b, _)| v < b) {
                 best = Some((v, c));
             }
@@ -581,9 +582,16 @@ impl<'g> MoveSource<'g> {
 
     /// Queues a re-probe for every class keyed to `c`.
     fn mark_coin_groups_stale(&mut self, c: CoinId) {
-        let touched: Vec<u32> = self.tracker.gids_on(c).collect();
-        for gid in touched {
-            self.mark_stale(gid);
+        // Split borrow: walk the tracker's key range while editing the
+        // cache fields, with no collected copy of the range.
+        let MoveSource {
+            tracker,
+            cache,
+            dirty,
+            unstable,
+        } = self;
+        for gid in tracker.gids_on(c) {
+            mark_stale(cache, dirty, unstable, gid);
         }
     }
 
@@ -643,8 +651,8 @@ impl<'g> MoveSource<'g> {
                 None => {
                     // Stable: only `vacated` can now beat the (unchanged)
                     // current payoff — and then it is the unique best.
-                    let current = game.rpu_after_join(rep, own, own, masses);
-                    if game.rpu_after_join(rep, vacated, own, masses) > current {
+                    let current = game.join_rpu(rep, own, own, masses);
+                    if game.join_rpu(rep, vacated, own, masses) > current {
                         self.set_decision(gid as u32, Some(vacated));
                     }
                 }
@@ -654,8 +662,8 @@ impl<'g> MoveSource<'g> {
                 Some(b) => {
                     // Unchanged best unless `vacated` now beats it (or
                     // ties with a smaller coin id).
-                    let v = game.rpu_after_join(rep, vacated, own, masses);
-                    let v_b = game.rpu_after_join(rep, b, own, masses);
+                    let v = game.join_rpu(rep, vacated, own, masses);
+                    let v_b = game.join_rpu(rep, b, own, masses);
                     if v > v_b || (v == v_b && vacated < b) {
                         self.set_decision(gid as u32, Some(vacated));
                     }
@@ -663,6 +671,18 @@ impl<'g> MoveSource<'g> {
             }
         }
     }
+}
+
+/// Marks group `gid` stale and queues it for a re-probe (a no-op when it
+/// is already queued). Takes the cache fields rather than the source so
+/// callers can hold a tracker borrow across it.
+fn mark_stale(cache: &mut [Cached], dirty: &mut VecDeque<u32>, unstable: &mut usize, gid: u32) {
+    match std::mem::replace(&mut cache[gid as usize], Cached::Stale) {
+        Cached::Stale => return, // already queued
+        Cached::Decision(Some(_)) => *unstable -= 1,
+        Cached::Decision(None) => {}
+    }
+    dirty.push_back(gid);
 }
 
 #[cfg(test)]

@@ -49,6 +49,15 @@
 //! [`MassTracker::symmetric_potential`]) therefore evaluate in `O(coins)`
 //! (or `O(coins log coins)` for the sorted list) per step.
 //!
+//! The unit of that `O(coins)` is one exact payoff comparison. Best
+//! responses, better-response tests and forced placements never reduce
+//! a post-join RPU `F(c) / (M_c + m_p)` to a [`Ratio`] (two `u128` gcds);
+//! they compare the unreduced values by cross-multiplication, falling
+//! back to the reduced order only on `u128` overflow, so order and ties
+//! are exactly those of the reduced values [`Game`] still hands out for
+//! gains and audits. CI rejects a reduced-RPU call in this file unless it
+//! carries an `// allow-reduced:` note.
+//!
 //! The naive recompute-from-scratch path on [`Game`] remains the **test
 //! oracle**: with the whole universe active it is consulted directly, and
 //! under churn [`MassTracker::active_subgame`] projects the active
@@ -86,7 +95,7 @@ use std::collections::BTreeMap; // allow-collection: build-local key probe in `w
 use crate::config::{Configuration, Masses};
 use crate::delta::{AppliedDelta, Delta};
 use crate::error::GameError;
-use crate::game::{Game, Move, Rewards};
+use crate::game::{Game, JoinRpu, Move, Rewards};
 use crate::ids::{CoinId, MinerId};
 use crate::ratio::{Extended, Ratio};
 use crate::system::System;
@@ -668,13 +677,13 @@ impl<'g> MassTracker<'g> {
             return None;
         }
         let from = self.config.coin_of(p);
-        let current = self.game.rpu_after_join(p, from, from, &self.masses);
-        let mut best: Option<(Ratio, CoinId)> = None;
+        let current = self.game.join_rpu(p, from, from, &self.masses);
+        let mut best: Option<(JoinRpu, CoinId)> = None;
         for c in self.game.system().coin_ids() {
             if c == from || !self.coin_active[c.index()] || !self.game.allowed(p, c) {
                 continue;
             }
-            let target = self.game.rpu_after_join(p, c, from, &self.masses);
+            let target = self.game.join_rpu(p, c, from, &self.masses);
             if target > current && best.is_none_or(|(b, _)| target > b) {
                 best = Some((target, c));
             }
@@ -1170,28 +1179,19 @@ impl<'g> MassTracker<'g> {
         self.groups.remove(p);
     }
 
-    /// The RPU miner `p` would experience after joining `c` from nowhere
-    /// (`F(c) / (M_c + m_p)`): the placement objective of arrivals and
-    /// forced relocations.
-    fn joined_rpu(&self, p: MinerId, c: CoinId) -> Ratio {
-        let mass = self.masses.mass_of(c) + u128::from(self.game.system().power_of(p));
-        self.game
-            .reward_of(c)
-            .checked_div_int(mass as i128)
-            .expect("mass fits i128 by construction")
-    }
-
-    /// The best active permitted coin to place `p` on (highest post-join
-    /// RPU, ties to the lowest coin id), or `None` if no active coin is
-    /// permitted. Placement is *forced*: unlike a better response it
-    /// needs no current payoff to beat.
+    /// The best active permitted coin to place `p` on (highest RPU after
+    /// joining from nowhere, `F(c) / (M_c + m_p)`; ties to the lowest coin
+    /// id), or `None` if no active coin is permitted. Placement is
+    /// *forced*: unlike a better response it needs no current payoff to
+    /// beat.
     fn forced_placement(&self, p: MinerId) -> Option<CoinId> {
-        let mut best: Option<(Ratio, CoinId)> = None;
+        let m_p = u128::from(self.game.system().power_of(p));
+        let mut best: Option<(JoinRpu, CoinId)> = None;
         for c in self.game.system().coin_ids() {
             if !self.coin_active[c.index()] || !self.game.allowed(p, c) {
                 continue;
             }
-            let v = self.joined_rpu(p, c);
+            let v = JoinRpu::new(self.game.reward_of(c), self.masses.mass_of(c) + m_p);
             if best.is_none_or(|(b, _)| v > b) {
                 best = Some((v, c));
             }

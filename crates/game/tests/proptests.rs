@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use goc_game::potential;
-use goc_game::{CoinId, Configuration, Game, MinerId, Ratio};
+use goc_game::{CoinId, Configuration, Game, MassTracker, Masses, MinerId, Ratio};
 
 fn ratio_strategy() -> impl Strategy<Value = Ratio> {
     (-1_000_000i128..1_000_000, 1i128..1_000_000)
@@ -168,6 +168,100 @@ proptest! {
             masses.apply_move(system.power_of(p), config.coin_of(p), c);
             config.apply_move(p, c);
             prop_assert_eq!(&masses, &config.masses(system));
+        }
+    }
+}
+
+/// A game at the magnitudes `churn_universe(.., 1e-4)` quantizes to:
+/// rewards near 10⁴, powers 294–10⁴, a few hundred miners. Large coprime
+/// masses are what make a reduced RPU's Euclid runs long.
+///
+/// Coin 0 stands alone; coins `2j+1` and `2j+2` share a reward. Miners
+/// come in equal-power pairs, and in a *mirrored* start the second of
+/// each pair sits on the partner coin of the first, so paired coins carry
+/// equal masses and every miner on coin 0 faces exact ties between them.
+fn quantized_game_and_config() -> impl Strategy<Value = (Game, Configuration)> {
+    (100usize..200, 1usize..3).prop_flat_map(|(half, pairs)| {
+        let k = 2 * pairs + 1;
+        let powers = proptest::collection::vec(294u64..=10_000, half);
+        let rewards = proptest::collection::vec(9_000u64..=10_000, pairs + 1);
+        let first = proptest::collection::vec(0usize..k, half);
+        let second = proptest::collection::vec(0usize..k, half);
+        let mirrored = prop_oneof![Just(true), Just(false)];
+        (powers, rewards, first, second, mirrored).prop_map(
+            move |(half_powers, pair_rewards, first, second, mirrored)| {
+                let partner = |c: usize| match c {
+                    0 => 0,
+                    c if c % 2 == 1 => c + 1,
+                    c => c - 1,
+                };
+                let powers: Vec<u64> = [half_powers.as_slice(); 2].concat();
+                let rewards: Vec<u64> = (0..k).map(|c| pair_rewards[c.div_ceil(2)]).collect();
+                let second: Vec<usize> = if mirrored {
+                    first.iter().map(|&c| partner(c)).collect()
+                } else {
+                    second
+                };
+                let game = Game::build(&powers, &rewards).expect("valid parameters");
+                let coins = first.into_iter().chain(second).map(CoinId).collect();
+                let config = Configuration::new(coins, game.system()).expect("valid assignment");
+                (game, config)
+            },
+        )
+    })
+}
+
+/// The naive best response: reduce every post-join RPU to a [`Ratio`]
+/// and keep the strict maximum over strict improvements (lowest coin on
+/// ties).
+fn naive_best_response(
+    game: &Game,
+    p: MinerId,
+    s: &Configuration,
+    masses: &Masses,
+) -> Option<CoinId> {
+    let from = s.coin_of(p);
+    let current = game.rpu_after_join(p, from, from, masses);
+    let mut best: Option<(Ratio, CoinId)> = None;
+    for c in game.system().coin_ids().filter(|&c| c != from) {
+        let v = game.rpu_after_join(p, c, from, masses);
+        if v > current && best.is_none_or(|(b, _)| v > b) {
+            best = Some((v, c));
+        }
+    }
+    best.map(|(_, c)| c)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every best-response query path agrees with the naive reduced-ratio
+    /// scan at quantized magnitudes, along a random move sequence.
+    #[test]
+    fn best_response_paths_match_naive_scan_at_quantized_magnitudes(
+        (game, s) in quantized_game_and_config(),
+        moves in proptest::collection::vec((0usize..400, 0usize..5), 1..6),
+    ) {
+        let system = game.system();
+        let mut tracker = MassTracker::new(&game, &s).expect("valid start");
+        let mut config = s;
+        for (pi, ci) in moves {
+            let masses = config.masses(system);
+            for p in system.miner_ids() {
+                let expected = naive_best_response(&game, p, &config, &masses);
+                prop_assert_eq!(game.best_response(p, &config, &masses), expected, "{}", p);
+                prop_assert_eq!(tracker.best_response(p), expected, "{}", p);
+                let from = config.coin_of(p);
+                let current = game.rpu_after_join(p, from, from, &masses);
+                for c in system.coin_ids() {
+                    let naive = c != from && game.rpu_after_join(p, c, from, &masses) > current;
+                    prop_assert_eq!(game.is_better_response(p, c, &config, &masses), naive);
+                    prop_assert_eq!(tracker.is_better_response(p, c), naive);
+                }
+            }
+            let (p, c) = (MinerId(pi % system.num_miners()), CoinId(ci % system.num_coins()));
+            tracker.apply(p, c);
+            config.apply_move(p, c);
         }
     }
 }
