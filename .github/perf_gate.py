@@ -8,6 +8,12 @@ is worse than base's median by more than that metric's `bound`, when a
 metric is missing on one side, when head fails a larger share of the
 operations it attempted, or when a head run fails its output checks.
 
+Then it replays every ensemble workload once per side with `--trace 1`
+and prints the per-layer head/base ratios. The dynamics are
+deterministic at a fixed seed, so the trajectory counts (TRAJECTORY)
+must match exactly; a mismatch, or a traced run on either side failing
+its output checks, fails the gate.
+
     python3 .github/perf_gate.py BASE_DIR HEAD_DIR
     python3 .github/perf_gate.py --self-test
 """
@@ -19,13 +25,14 @@ import sys
 
 PAIRS = 3
 SEED = 7
+TRAJECTORY = ("dynamics.steps", "sched.steps", "churn.deltas")
 MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json")
 
 
-def run_once(bench, checkout, workload):
+def run_once(bench, checkout, workload, trace=0):
     """One benchmark run; its result is the last line of standard output."""
     cmd = bench["command"] + ["--workload", workload, "--seed", str(SEED),
-                              "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+                              "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -46,6 +53,43 @@ def collect(bench, base_dir, head_dir):
                 results[side].setdefault(workload, []).append(result)
                 print(f"{workload} pair {pair + 1} {side}: {json.dumps(result)}", flush=True)
     return results
+
+
+def traced_workloads(bench):
+    return [w["name"] for w in bench["workloads"] if w["name"].startswith("ensemble")]
+
+
+def collect_traces(bench, base_dir, head_dir):
+    """{side: {workload: result}}, one traced run per side and workload."""
+    traces = {"base": {}, "head": {}}
+    for workload in traced_workloads(bench):
+        for side, checkout in (("base", base_dir), ("head", head_dir)):
+            traces[side][workload] = result = run_once(bench, checkout, workload, trace=1)
+            print(f"{workload} traced {side}: {json.dumps(result)}", flush=True)
+    return traces
+
+
+def compare_traces(bench, traces):
+    """Per-layer ratio lines, and every reason the traced runs fail the
+    gate: a trajectory count that differs, or a run failing its checks."""
+    rows, problems = [], []
+    for workload in traced_workloads(bench):
+        runs = {side: traces[side].get(workload, {}) for side in ("base", "head")}
+        for side, result in runs.items():
+            if not result.get("correct"):
+                problems.append(f"{workload}: traced {side} run failed its output checks")
+        for metric in bench["per_layer"]:
+            name = metric["name"]
+            b, h = (runs[side].get("metrics", {}).get(name, {}).get("value")
+                    for side in ("base", "head"))
+            if name in TRAJECTORY and (b is None or b != h):
+                problems.append(f"{workload}: {name} differs: base {b} head {h}")
+            if b is None or h is None or b == h == 0:
+                continue
+            ratio = h / b if b else float("inf")
+            rows.append(f"{workload:22} {name:32} base {b:14.4f} head {h:14.4f} "
+                        f"ratio {ratio:6.3f} ({metric['better']} is better)")
+    return rows, problems
 
 
 def median_of(runs, name):
@@ -105,6 +149,23 @@ def self_test(bench):
         head = dict(base, **{workload: [json.loads(head_line)] * PAIRS})
         return compare(bench, {"base": base, "head": head})[1]
 
+    def traced(correct=True, **values):
+        """A synthetic traced result; `values` keys spell dots as `_`."""
+        metrics = {m["name"]: {"value": values.get(m["name"].replace(".", "_"), 5.0),
+                               "unit": m["unit"]} for m in bench["per_layer"]}
+        return {"correct": correct, "attempted": 8, "failed": 0, "metrics": metrics}
+
+    traced_workload = traced_workloads(bench)[0]
+
+    def trace_gate(base_result, head_result):
+        """The traced runs differ from the defaults on the first ensemble
+        workload only."""
+        others = {w: traced() for w in traced_workloads(bench)}
+        return compare_traces(bench, {
+            "base": dict(others, **{traced_workload: base_result}),
+            "head": dict(others, **{traced_workload: head_result}),
+        })[1]
+
     missing = json.loads(line())
     del missing["metrics"]["lat_ms_p50"]
     cases = [
@@ -115,6 +176,21 @@ def self_test(bench):
         ("higher failed share fails", gate(line(), line(failed=1)), f"{workload}: failed share"),
         ("metric missing on head fails", gate(line(), json.dumps(missing)),
          f"{workload}: lat_ms_p50 missing on head"),
+        ("identical traces pass", trace_gate(traced(), traced()), None),
+        ("faster layers with equal counts pass",
+         trace_gate(traced(), traced(dynamics_run_ms=2.5, sched_run_ms=1.0)), None),
+        ("differing dynamics.steps fails",
+         trace_gate(traced(), traced(dynamics_steps=6.0)),
+         f"{traced_workload}: dynamics.steps differs"),
+        ("differing churn.deltas fails",
+         trace_gate(traced(churn_deltas=9.0), traced()),
+         f"{traced_workload}: churn.deltas differs"),
+        ("traced head run failing its checks fails",
+         trace_gate(traced(), traced(correct=False)),
+         f"{traced_workload}: traced head run failed"),
+        ("traced base run failing its checks fails",
+         trace_gate(traced(correct=False), traced()),
+         f"{traced_workload}: traced base run failed"),
     ]
     ok = True
     for what, problems, expect in cases:
@@ -134,6 +210,9 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     rows, problems = compare(bench, collect(bench, *argv))
+    trace_rows, trace_problems = compare_traces(bench, collect_traces(bench, *argv))
+    rows += ["per-layer head/base ratios, one --trace 1 run per side:"] + trace_rows
+    problems += trace_problems
     print("\n".join(rows))
     for problem in problems:
         print(f"PERF GATE FAILED: {problem}")

@@ -358,9 +358,9 @@ enum Shared<'u> {
     /// Churn-free: the fixture game. Each replica builds its own
     /// tracker on it at its own random start.
     Game(&'u Game),
-    /// Churny and scheduler-free: the time-zero tracker of the
-    /// seed-invariant churn universe. Each replica clones it and
-    /// replays only its own timeline.
+    /// Churny: the time-zero tracker of the seed-invariant churn
+    /// universe. Each replica clones it and replays only its own
+    /// timeline, under its own scheduler if the spec names one.
     Tracker(&'u MassTracker<'u>),
 }
 
@@ -424,11 +424,13 @@ fn replica_with(
                         let _build = build_span();
                         time_zero.clone()
                     };
-                    let outcome = Dynamics::new(time_zero.game())
+                    let mut dynamics = Dynamics::new(time_zero.game())
                         .from_tracker(tracker)
-                        .churn(&plan)
-                        .run()
-                        .map_err(|e| fail(e.to_string()))?;
+                        .churn(&plan);
+                    if let Some(sched) = sched.as_mut() {
+                        dynamics = dynamics.scheduler(sched.as_mut());
+                    }
+                    let outcome = dynamics.run().map_err(|e| fail(e.to_string()))?;
                     (outcome, time_zero.game())
                 }
                 _ => {
@@ -551,8 +553,7 @@ pub fn run_traced(
     let wall_hist = registry.histogram("goc_ensemble_replica_wall_secs");
     let clock = Instant::now();
     let setup = |error: String| EnsembleError::Replica { replica: 0, error };
-    // What every replica shares is built once here (see `replica_with`);
-    // scheduled churny replicas need their own universe and share nothing.
+    // What every replica shares is built once here (see `replica_with`).
     let game;
     let universe;
     let time_zero;
@@ -561,7 +562,6 @@ pub fn run_traced(
             game = scale_class_game(spec.miners);
             Some(Shared::Game(&game))
         }
-        Some(_) if spec.scheduler.is_some() => None,
         Some(churn) => {
             // The churn universe is seed-invariant (only the timeline
             // varies per replica — pinned by the bridge tests), so any

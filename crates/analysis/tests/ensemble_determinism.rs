@@ -13,14 +13,16 @@
 //!
 //! Both properties cover the scheduler-free incremental loop, every
 //! bundled scheduler kind, and the churny fixture plan with and without
-//! a scheduler (the scheduler-free churny replicas clone one shared
-//! time-zero tracker; the naive replay builds each from scratch).
+//! a scheduler (churny replicas clone one shared time-zero tracker; the
+//! naive replay builds each from scratch). A third property pins that
+//! sharing for every scheduler kind: [`run`]'s aggregate equals the
+//! fold of standalone replicas, each of which lowers its own universe.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use goc_analysis::ensemble::aggregate::EquilibriumKey;
+use goc_analysis::ensemble::aggregate::{EquilibriumKey, FingerprintIndex, Welford};
 use goc_analysis::ensemble::{replica, run, EnsembleSpec};
 use goc_learning::SchedulerKind;
 
@@ -56,6 +58,27 @@ fn churny_spec() -> impl Strategy<Value = EnsembleSpec> {
             }
         },
     )
+}
+
+/// A churny spec run scheduler-free (index 0) or under any bundled
+/// scheduler kind (1..=6), plus a worker-thread count.
+fn churny_spec_any_scheduler() -> impl Strategy<Value = (EnsembleSpec, usize)> {
+    (
+        16usize..48,
+        2usize..5,
+        0u64..u64::MAX,
+        5u32..30,
+        0usize..=SchedulerKind::ALL.len(),
+        1usize..4,
+    )
+        .prop_map(|(miners, replicas, seed, turnover, sched, threads)| {
+            let spec = EnsembleSpec::new(miners, replicas, seed).with_churn(turnover);
+            let spec = match sched {
+                0 => spec,
+                i => spec.with_scheduler(SchedulerKind::ALL[i - 1]),
+            };
+            (spec, threads)
+        })
 }
 
 /// The naive census: replay every replica standalone, keep the
@@ -139,5 +162,35 @@ proptest! {
         prop_assert_eq!(&a.aggregate, &b.aggregate);
         prop_assert!(a.aggregate.churn_deltas >= a.aggregate.replicas as u64,
             "every replica absorbs at least the coin lifecycle");
+    }
+
+    /// Churny replicas share one time-zero tracker inside [`run`]; the
+    /// standalone [`replica`] lowers its own churn universe. Folding the
+    /// standalone records must reproduce the shared run's census, step
+    /// summary and churn-delta total for every scheduler kind.
+    #[test]
+    fn shared_churn_universe_matches_standalone_replicas(
+        (spec, threads) in churny_spec_any_scheduler(),
+    ) {
+        let report = run(&spec, threads).expect("churny ensemble runs");
+        let mut steps = Welford::new();
+        let mut index = FingerprintIndex::new();
+        let mut converged = 0usize;
+        let mut churn_deltas = 0u64;
+        for i in 0..spec.replicas {
+            let record = replica(&spec, i).expect("small fixture replicas run");
+            steps.push(record.steps as f64);
+            churn_deltas += record.churn_applied as u64;
+            if record.converged {
+                converged += 1;
+                index.record(record.key, record.potential, record.welfare);
+            }
+        }
+        let aggregate = &report.aggregate;
+        prop_assert_eq!(aggregate.converged, converged);
+        prop_assert_eq!(aggregate.churn_deltas, churn_deltas);
+        prop_assert_eq!(&aggregate.steps, &steps.summary());
+        // 12 is the report's census listing cap.
+        prop_assert_eq!(&aggregate.equilibria, &index.census(12));
     }
 }

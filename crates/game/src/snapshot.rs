@@ -61,7 +61,7 @@ use std::fmt;
 use crate::config::{Configuration, Masses};
 use crate::error::GameError;
 use crate::game::{Game, Rewards};
-use crate::ids::{CoinId, MinerId};
+use crate::ids::CoinId;
 use crate::ratio::Ratio;
 use crate::system::SystemBuilder;
 use crate::tracker::{GroupIndex, GroupKey, MassTracker};
@@ -467,37 +467,31 @@ impl Snapshot {
 
     /// Rebuilds the group index in the captured historical id order:
     /// members are exactly the active miners whose current class key
-    /// maps to each id (the tracker's own invariant), loaded in one
-    /// ascending pass.
+    /// maps to each id (the tracker's own invariant).
     fn assemble_groups(&self, game: &Game) -> Result<GroupIndex, SnapshotError> {
         let system = game.system();
         let mut by_key = BTreeMap::new(); // allow-collection: restore probe over the captured ids
         for (gid, &key) in self.keys.iter().enumerate() {
             by_key.insert(key, gid as u32);
         }
-        let mut members: Vec<Vec<MinerId>> = vec![Vec::new(); self.keys.len()];
-        let mut of = vec![0u32; system.num_miners()];
-        for p in system.miner_ids() {
-            if !self.miner_active[p.index()] {
-                continue;
-            }
-            let key = (
-                self.config.coin_of(p).index() as u32,
-                system.power_of(p),
-                GroupIndex::rkey(game, p),
-            );
-            let gid = *by_key.get(&key).ok_or_else(|| SnapshotError::Corrupted {
-                reason: format!("active miner {p} has no group key"),
-            })?;
-            of[p.index()] = gid;
-            members[gid as usize].push(p);
-        }
-        Ok(GroupIndex::from_sorted_parts(
-            of,
-            &self.keys,
-            members,
+        let groups = GroupIndex::load(
+            &self.miner_active,
+            |p| {
+                let key = (
+                    self.config.coin_of(p).index() as u32,
+                    system.power_of(p),
+                    GroupIndex::rkey(game, p),
+                );
+                by_key
+                    .get(&key)
+                    .copied()
+                    .ok_or_else(|| SnapshotError::Corrupted {
+                        reason: format!("active miner {p} has no group key"),
+                    })
+            },
             self.cursor,
-        ))
+        )?;
+        Ok(groups.keyed(&self.keys))
     }
 }
 
@@ -711,6 +705,7 @@ impl TryFrom<&[u8]> for Snapshot {
 mod tests {
     use super::*;
     use crate::delta::Delta;
+    use crate::ids::MinerId;
 
     fn tracker_fixture(game: &Game) -> MassTracker<'_> {
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();

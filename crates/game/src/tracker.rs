@@ -27,18 +27,22 @@
 //!   ([`crate::Delta::InsertMiner`], [`crate::Delta::RemoveMiner`],
 //!   [`crate::Delta::LaunchCoin`], [`crate::Delta::RetireCoin`]) splice
 //!   the group index and patch masses/payoffs in an `O(log groups)` key
-//!   lookup plus an amortized-`O(1)` slab edit — plus
+//!   lookup plus an `O(log runs + RUN_CAP)` run edit — plus
 //!   `O(residents × coins)` for a retirement's forced relocations —
 //!   with **no rebuild**.
 //!
-//! The group index is a **flat arena**, not a tree: each class's members
-//! live in one sorted `Vec<MinerId>` slab behind a head offset (removing
-//! the minimum — the dominant pattern while dynamics converge — is a
-//! pointer bump, and inserting an id above the current maximum is a
-//! push), emptied classes hand their slab to a free list for the next
-//! launch, and class keys sit in a single sorted vec resolved by binary
-//! search. The layout is deliberately *not* part of the API: accessors
-//! expose slices ([`MassTracker::members_of`]), `Option<MinerId>`
+//! The group index is flat, not a tree: each class's members live in
+//! bounded sorted runs of `u32` ids (fewer than `RUN_CAP = 128` each),
+//! kept in fixed blocks of one slab per class behind a directory of run
+//! maxima, and class keys sit in a single sorted vec resolved by binary
+//! search. Every step of the dynamics inserts the
+//! mover into the middle of its new class and removes it from the middle
+//! of its old one; in runs each edit shifts one run, `O(log runs +
+//! RUN_CAP)`, where one sorted vector per class cost an `O(members)`
+//! memmove (about 25 KB per step on a 100k-miner, 24-class population).
+//! The minimum member is the first run's head, `O(1)`. The layout is
+//! deliberately *not* part of the API: accessors expose iterators
+//! ([`MassTracker::members_of`]), `Option<MinerId>`
 //! ([`MassTracker::min_member`], [`MassTracker::successor_member`]) and
 //! counts ([`MassTracker::member_count`]) — never a collection type — so
 //! the layout can change again without touching a caller, and CI greps
@@ -100,84 +104,275 @@ use crate::ids::{CoinId, MinerId};
 use crate::ratio::{Extended, Ratio};
 use crate::system::System;
 
-/// One group's member storage: a sorted `Vec<MinerId>` whose live region
-/// is `buf[head..]`. The head offset makes the dominant mutation of the
-/// round-robin dynamics — removing the minimum member — an `O(1)` bump
-/// (with amortized compaction) instead of a front memmove, while keeping
-/// min-member (`live[0]`) and successor (`partition_point`) queries over
-/// a flat cache line instead of a pointer-chased tree.
-#[derive(Debug, Clone, Default)]
-struct MemberSlab {
-    buf: Vec<MinerId>,
-    head: usize,
+/// Slots per run block; a run that fills its block splits in half.
+/// Every membership edit shifts at most one run, so an edit costs
+/// `O(log runs + RUN_CAP)` however large the group is; the directory
+/// itself shifts only when a run splits or merges.
+const RUN_CAP: usize = 128;
+
+/// Ids per run of a bulk-loaded group: one short of the cap, the
+/// densest load that does not split at once. A group then splits only
+/// the runs its edits reach.
+const LOAD_FILL: usize = RUN_CAP - 1;
+
+/// A run shorter than this after a removal merges with a neighbour (or,
+/// when the two do not fit one block, rebalances with it), so a group of
+/// `m` members never spreads over more than about `4m / RUN_CAP + 1`
+/// runs.
+const RUN_MIN: usize = RUN_CAP / 4;
+
+/// The miner id as stored in a run. Miner counts are bounded far below
+/// `u32::MAX` by the per-miner tables every tracker allocates.
+fn id32(p: MinerId) -> u32 {
+    u32::try_from(p.index()).expect("miner ids fit in u32")
 }
 
-impl MemberSlab {
-    /// The live members, ascending by id.
-    fn live(&self) -> &[MinerId] {
-        &self.buf[self.head..]
+/// A run's directory entry: its largest id, its block, its length.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    max: u32,
+    block: u32,
+    len: u32,
+}
+
+impl Run {
+    /// Slab index of the run's first slot.
+    fn base(self) -> usize {
+        self.block as usize * RUN_CAP
+    }
+}
+
+/// One group's member storage: the members in ascending id order, cut
+/// into bounded sorted runs of `u32` ids. Runs live in fixed blocks of
+/// [`RUN_CAP`] slots of one slab, and a directory lists them in id order
+/// with each run's maximum for binary search. The minimum is the first
+/// run's head, `O(1)`; a successor query is a binary search over the
+/// run maxima and then one inside a run; an insert or remove shifts the
+/// tail of one run. A single sorted vector would make the two mid-group
+/// edits the dynamics perform every step — inserting a mover into its
+/// new group and removing the round-robin pick from its old one — an
+/// `O(members)` memmove. One slab per group keeps a group to a handful
+/// of allocations however many runs it has.
+#[derive(Debug, Clone, Default)]
+struct MemberRuns {
+    /// Run storage, `RUN_CAP` slots per block. Every block but the last
+    /// is whole; the last holds only the slots written so far, so a small
+    /// group holds no unused block tail.
+    slab: Vec<u32>,
+    /// The non-empty runs, ascending by id.
+    dir: Vec<Run>,
+    /// Blocks that hold no run.
+    free: Vec<u32>,
+    len: usize,
+}
+
+impl MemberRuns {
+    /// Appends `p`, which must exceed every member, during a bulk load
+    /// into a fresh group: blocks are handed out in order, each filled to
+    /// [`LOAD_FILL`] ids. [`MemberRuns::seal`] then writes the directory.
+    fn push_max(&mut self, p: MinerId) {
+        let q = id32(p);
+        debug_assert!(
+            self.free.is_empty() && self.slab.last().is_none_or(|&last| last < q),
+            "bulk loads append ascending ids to a fresh group"
+        );
+        if self.slab.len() % RUN_CAP == LOAD_FILL {
+            self.slab
+                .resize(self.slab.len().next_multiple_of(RUN_CAP), 0);
+        }
+        self.slab.push(q);
+        self.len += 1;
+    }
+
+    /// Ends a bulk load: one directory entry per loaded block.
+    fn seal(&mut self) {
+        self.dir = (0..self.len.div_ceil(LOAD_FILL))
+            .map(|block| {
+                let len = LOAD_FILL.min(self.len - block * LOAD_FILL);
+                Run {
+                    max: self.slab[block * RUN_CAP + len - 1],
+                    block: block as u32,
+                    len: len as u32,
+                }
+            })
+            .collect();
+    }
+
+    /// A block for a new run: a free one, or a new one past the end of
+    /// the slab (whose short last block is filled out first).
+    fn alloc_block(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            let blocks = self.slab.len().div_ceil(RUN_CAP);
+            self.slab.resize(blocks * RUN_CAP, 0);
+            blocks as u32
+        })
+    }
+
+    /// Grows the slab's short last block so that slots `..end` exist.
+    fn reach(slab: &mut Vec<u32>, end: usize) {
+        if slab.len() < end {
+            slab.resize(end, 0);
+        }
     }
 
     fn len(&self) -> usize {
-        self.buf.len() - self.head
+        self.len
     }
 
-    fn is_empty(&self) -> bool {
-        self.head == self.buf.len()
+    fn run(&self, run: Run) -> &[u32] {
+        &self.slab[run.base()..run.base() + run.len as usize]
+    }
+
+    /// The members, ascending by id.
+    fn iter(&self) -> impl Iterator<Item = MinerId> + '_ {
+        self.dir
+            .iter()
+            .flat_map(|&run| self.run(run))
+            .map(|&q| MinerId(q as usize))
     }
 
     fn first(&self) -> Option<MinerId> {
-        self.buf.get(self.head).copied()
+        self.dir
+            .first()
+            .map(|run| MinerId(self.slab[run.base()] as usize))
     }
 
-    /// Inserts `p` (not already present), keeping the live region sorted.
-    /// `O(1)` for a back push or into front slack — the two patterns the
-    /// dynamics produce — and a binary search plus memmove otherwise.
+    /// Index of the first run whose maximum is `≥ q` (`dir.len()` when
+    /// `q` exceeds every member).
+    fn run_at(&self, q: u32) -> usize {
+        self.dir.partition_point(|run| run.max < q)
+    }
+
+    /// Inserts `p` (not already present).
     fn insert(&mut self, p: MinerId) {
-        if self.is_empty() {
-            self.buf.clear();
-            self.head = 0;
-            self.buf.push(p);
+        let q = id32(p);
+        self.len += 1;
+        // An id above every member extends the last run.
+        let r = match self.dir.len() {
+            0 => {
+                let block = self.alloc_block();
+                self.dir.push(Run {
+                    max: q,
+                    block,
+                    len: 0,
+                });
+                0
+            }
+            runs => self.run_at(q).min(runs - 1),
+        };
+        let run = self.dir[r];
+        let at = self.run(run).partition_point(|&x| x < q);
+        debug_assert!(self.run(run).get(at) != Some(&q), "{p} already a member");
+        let (base, end) = (run.base(), run.base() + run.len as usize);
+        Self::reach(&mut self.slab, end + 1);
+        self.slab.copy_within(base + at..end, base + at + 1);
+        self.slab[base + at] = q;
+        let run = &mut self.dir[r];
+        run.len += 1;
+        run.max = run.max.max(q);
+        if run.len as usize == RUN_CAP {
+            self.split(r);
+        }
+    }
+
+    /// Removes member `p`.
+    fn remove(&mut self, p: MinerId) {
+        let q = id32(p);
+        let r = self.run_at(q);
+        debug_assert!(r < self.dir.len(), "{p} is not a member");
+        let run = self.dir[r];
+        let at = self.run(run).partition_point(|&x| x < q);
+        debug_assert_eq!(self.run(run).get(at), Some(&q), "{p} is not a member");
+        let (base, end) = (run.base(), run.base() + run.len as usize);
+        self.slab.copy_within(base + at + 1..end, base + at);
+        self.len -= 1;
+        if self.len == 0 {
+            // An emptied group keeps at most one block of storage: classes
+            // that empty and refill on every move (a restricted game's
+            // single-miner classes) do not reallocate, and a drained large
+            // class does not pin its slab.
+            if self.slab.capacity() > RUN_CAP {
+                *self = MemberRuns::default();
+            } else {
+                self.slab.clear();
+                self.dir.clear();
+                self.free.clear();
+            }
             return;
         }
-        let first = self.buf[self.head];
-        let last = *self.buf.last().expect("non-empty slab");
-        debug_assert!(p != first && p != last, "{p} already a member");
-        if p > last {
-            self.buf.push(p);
-        } else if p < first && self.head > 0 {
-            self.head -= 1;
-            self.buf[self.head] = p;
-        } else {
-            let at = self.head + self.live().partition_point(|&q| q < p);
-            debug_assert!(self.buf.get(at) != Some(&p), "{p} already a member");
-            self.buf.insert(at, p);
+        let run = &mut self.dir[r];
+        run.len -= 1;
+        if run.len == 0 {
+            self.free.push(run.block);
+            self.dir.remove(r);
+            return;
+        }
+        run.max = self.slab[end - 2];
+        if (run.len as usize) < RUN_MIN && self.dir.len() > 1 {
+            self.rebalance(r.min(self.dir.len() - 2));
         }
     }
 
-    /// Removes member `p`. `O(1)` for the minimum (head bump, amortized
-    /// compaction), binary search plus memmove otherwise.
-    fn remove(&mut self, p: MinerId) {
-        debug_assert!(!self.is_empty(), "removing {p} from an empty slab");
-        if self.buf[self.head] == p {
-            self.head += 1;
-            // Reclaim the dead prefix once it dominates, so long
-            // insert/remove-min cycles stay bounded in memory.
-            if self.head >= 32 && self.head * 2 >= self.buf.len() {
-                self.buf.drain(..self.head);
-                self.head = 0;
-            }
-        } else {
-            let at = self.head + self.live().partition_point(|&q| q < p);
-            debug_assert_eq!(self.buf.get(at), Some(&p), "{p} is not a member");
-            self.buf.remove(at);
-        }
+    /// Moves the upper half of full run `r` into a new run right after it.
+    fn split(&mut self, r: usize) {
+        let full = self.dir[r];
+        let mid = full.len as usize / 2;
+        let tail = Run {
+            max: full.max,
+            block: self.alloc_block(),
+            len: full.len - mid as u32,
+        };
+        let (from, to) = (full.base(), tail.base());
+        Self::reach(&mut self.slab, to + tail.len as usize);
+        self.slab
+            .copy_within(from + mid..from + full.len as usize, to);
+        self.dir[r].len = mid as u32;
+        self.dir[r].max = self.slab[from + mid - 1];
+        self.dir.insert(r + 1, tail);
     }
 
-    /// The smallest live member `≥ start`.
+    /// Runs `r` and `r + 1`, one of them thin, become one run when they
+    /// fit a block below the cap, or else two runs of about half their
+    /// total each.
+    fn rebalance(&mut self, r: usize) {
+        let (left, right) = (self.dir[r], self.dir[r + 1]);
+        let (lb, rb) = (left.base(), right.base());
+        let (ll, rl) = (left.len as usize, right.len as usize);
+        let total = ll + rl;
+        if total < RUN_CAP {
+            Self::reach(&mut self.slab, lb + total);
+            self.slab.copy_within(rb..rb + rl, lb + ll);
+            self.dir[r].len = total as u32;
+            self.dir[r].max = right.max;
+            self.free.push(right.block);
+            self.dir.remove(r + 1);
+            return;
+        }
+        let half = total / 2;
+        if ll < half {
+            // The head of the right run moves to the left run's end.
+            let moved = half - ll;
+            Self::reach(&mut self.slab, lb + half);
+            self.slab.copy_within(rb..rb + moved, lb + ll);
+            self.slab.copy_within(rb + moved..rb + rl, rb);
+        } else {
+            // The tail of the left run moves to the right run's head.
+            let moved = ll - half;
+            Self::reach(&mut self.slab, rb + rl + moved);
+            self.slab.copy_within(rb..rb + rl, rb + moved);
+            self.slab.copy_within(lb + half..lb + ll, rb);
+        }
+        self.dir[r].len = half as u32;
+        self.dir[r].max = self.slab[lb + half - 1];
+        self.dir[r + 1].len = (total - half) as u32;
+    }
+
+    /// The smallest member `≥ start`.
     fn successor(&self, start: MinerId) -> Option<MinerId> {
-        let live = self.live();
-        live.get(live.partition_point(|&q| q < start)).copied()
+        let q = u32::try_from(start.index()).ok()?;
+        let run = *self.dir.get(self.run_at(q))?;
+        let run = self.run(run);
+        Some(MinerId(run[run.partition_point(|&x| x < q)] as usize))
     }
 }
 
@@ -189,27 +384,17 @@ impl MemberSlab {
 /// flat move list.
 pub(crate) type GroupKey = (u32, u64, u32);
 
-/// Sentinel slot for groups that currently have no members (their slab
-/// is parked on the free list — group ids are historical and never die,
-/// but emptied classes should not pin member storage).
-const NO_SLOT: u32 = u32::MAX;
-
 /// Partition of the **active** miners into strategic equivalence classes,
 /// maintained under deltas (dormant miners belong to no group). The
-/// layout is arena-style and fully flat: member slabs ([`MemberSlab`])
-/// indexed through a gid → slot table with a free list, and a sorted
-/// key map probed by binary search — no tree nodes anywhere on the
-/// apply/undo hot path.
+/// layout is flat: one [`MemberRuns`] per group id, and a sorted key map
+/// probed by binary search — no tree nodes anywhere on the apply/undo hot
+/// path.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupIndex {
     /// Group id of each miner (stale while a miner is dormant).
     of: Vec<u32>,
-    /// gid → slab slot, or [`NO_SLOT`] while the group is empty.
-    slot_of: Vec<u32>,
-    /// Member storage arena; slots are recycled through `free`.
-    slabs: Vec<MemberSlab>,
-    /// Slots of released (empty) slabs, ready for reuse.
-    free: Vec<u32>,
+    /// gid → member runs (empty, holding no run, while the group is).
+    members: Vec<MemberRuns>,
     /// Key → group id, sorted by key so class-major enumeration and
     /// per-coin range scans stay canonical (coin-major).
     by_key: Vec<(GroupKey, u32)>,
@@ -221,43 +406,56 @@ pub(crate) struct GroupIndex {
 }
 
 impl GroupIndex {
-    /// Assembles an index from pre-validated parts: `keys[gid]` in
-    /// historical group-id order and `members[gid]` ascending by miner
-    /// id. Both builds load through here — [`MassTracker::with_activity`]
-    /// (first-encounter ids, cursor 0) and the [`crate::snapshot`]
-    /// restore (captured ids and cursor) — filling slabs directly
-    /// instead of inserting miner by miner.
-    pub(crate) fn from_sorted_parts(
-        of: Vec<u32>,
-        keys: &[GroupKey],
-        members: Vec<Vec<MinerId>>,
+    /// Loads an index in one ascending pass over the miners active under
+    /// `miner_active`: `class(p)` names miner `p`'s group id (ids are
+    /// dense from 0, and the callback may mint them as it goes), and `p`
+    /// lands at the end of that group's last run. [`GroupIndex::keyed`]
+    /// completes the index. Both builds load this way:
+    /// [`MassTracker::with_activity`] (first-encounter ids, cursor 0) and
+    /// the [`crate::snapshot`] restore (captured ids and cursor).
+    pub(crate) fn load<E>(
+        miner_active: &[bool],
+        mut class: impl FnMut(MinerId) -> Result<u32, E>,
         cursor: usize,
-    ) -> Self {
-        debug_assert_eq!(keys.len(), members.len());
-        let mut slot_of = vec![NO_SLOT; keys.len()];
-        let mut slabs = Vec::new();
-        for (gid, m) in members.into_iter().enumerate() {
-            if m.is_empty() {
+    ) -> Result<Self, E> {
+        let mut of = vec![0u32; miner_active.len()];
+        let mut members: Vec<MemberRuns> = Vec::new();
+        for (p, &active) in miner_active.iter().enumerate() {
+            if !active {
                 continue;
             }
-            debug_assert!(m.is_sorted(), "bulk-loaded members must be ascending");
-            slot_of[gid] = slabs.len() as u32;
-            slabs.push(MemberSlab { buf: m, head: 0 });
+            let gid = class(MinerId(p))?;
+            let g = gid as usize;
+            if g >= members.len() {
+                members.resize_with(g + 1, MemberRuns::default);
+            }
+            of[p] = gid;
+            members[g].push_max(MinerId(p));
         }
-        let mut by_key: Vec<(GroupKey, u32)> = keys
+        members.iter_mut().for_each(MemberRuns::seal);
+        Ok(GroupIndex {
+            of,
+            members,
+            by_key: Vec::new(),
+            cursor,
+        })
+    }
+
+    /// Completes a [`GroupIndex::load`]: `keys[gid]` is every group's key
+    /// in historical group-id order (groups no miner joined stay empty).
+    pub(crate) fn keyed(mut self, keys: &[GroupKey]) -> Self {
+        debug_assert!(
+            self.members.len() <= keys.len(),
+            "a loaded group has no key"
+        );
+        self.members.resize_with(keys.len(), MemberRuns::default);
+        self.by_key = keys
             .iter()
             .enumerate()
             .map(|(gid, &key)| (key, gid as u32))
             .collect();
-        by_key.sort_unstable();
-        GroupIndex {
-            of,
-            slot_of,
-            slabs,
-            free: Vec::new(),
-            by_key,
-            cursor,
-        }
+        self.by_key.sort_unstable();
+        self
     }
 
     pub(crate) fn rkey(game: &Game, p: MinerId) -> u32 {
@@ -271,13 +469,13 @@ impl GroupIndex {
     /// Number of classes ever minted (group ids are historical: emptied
     /// classes keep their id so the cursor and snapshots stay stable).
     pub(crate) fn group_count(&self) -> usize {
-        self.slot_of.len()
+        self.members.len()
     }
 
     /// The class keys in historical group-id order — the
     /// [`crate::snapshot`] capture order.
     pub(crate) fn class_keys(&self) -> Vec<GroupKey> {
-        let mut keys = vec![(0, 0, 0); self.slot_of.len()];
+        let mut keys = vec![(0, 0, 0); self.members.len()];
         for &(key, gid) in &self.by_key {
             keys[gid as usize] = key;
         }
@@ -289,38 +487,26 @@ impl GroupIndex {
         self.by_key.iter().copied()
     }
 
-    /// The live members of group `gid`, ascending by id (empty for
+    /// The live members of group `gid`, ascending by id (none for
     /// emptied classes).
-    fn members(&self, gid: u32) -> &[MinerId] {
-        match self.slot_of[gid as usize] {
-            NO_SLOT => &[],
-            slot => self.slabs[slot as usize].live(),
-        }
+    fn members(&self, gid: u32) -> impl Iterator<Item = MinerId> + '_ {
+        self.members[gid as usize].iter()
     }
 
     /// The smallest member of group `gid`, `O(1)`.
     fn min(&self, gid: u32) -> Option<MinerId> {
-        match self.slot_of[gid as usize] {
-            NO_SLOT => None,
-            slot => self.slabs[slot as usize].first(),
-        }
+        self.members[gid as usize].first()
     }
 
     /// The smallest member of group `gid` that is `≥ start`,
-    /// `O(log members)`.
+    /// `O(log runs)` plus one in-run search.
     fn successor(&self, gid: u32, start: MinerId) -> Option<MinerId> {
-        match self.slot_of[gid as usize] {
-            NO_SLOT => None,
-            slot => self.slabs[slot as usize].successor(start),
-        }
+        self.members[gid as usize].successor(start)
     }
 
     /// Number of live members of group `gid`, `O(1)`.
     fn member_count(&self, gid: u32) -> usize {
-        match self.slot_of[gid as usize] {
-            NO_SLOT => 0,
-            slot => self.slabs[slot as usize].len(),
-        }
+        self.members[gid as usize].len()
     }
 
     fn insert(&mut self, game: &Game, p: MinerId, coin: CoinId) {
@@ -331,41 +517,19 @@ impl GroupIndex {
             Err(at) => {
                 // A fresh class: minting is rare (bounded by distinct
                 // keys ever seen), so the sorted-vec insert stays cold.
-                let gid = self.slot_of.len() as u32;
-                self.slot_of.push(NO_SLOT);
+                let gid = self.members.len() as u32;
+                self.members.push(MemberRuns::default());
                 self.by_key.insert(at, (key, gid));
                 gid
             }
         };
         self.of[p.index()] = gid;
-        let slot = match self.slot_of[gid as usize] {
-            NO_SLOT => {
-                let slot = self.free.pop().unwrap_or_else(|| {
-                    self.slabs.push(MemberSlab::default());
-                    (self.slabs.len() - 1) as u32
-                });
-                self.slot_of[gid as usize] = slot;
-                slot
-            }
-            slot => slot,
-        };
-        self.slabs[slot as usize].insert(p);
+        self.members[gid as usize].insert(p);
     }
 
     fn remove(&mut self, p: MinerId) {
         let gid = self.of[p.index()] as usize;
-        let slot = self.slot_of[gid];
-        debug_assert_ne!(slot, NO_SLOT, "removing {p} from an empty group");
-        let slab = &mut self.slabs[slot as usize];
-        slab.remove(p);
-        if slab.is_empty() {
-            // Release the slab (keeping its capacity) so emptied classes
-            // do not pin member storage; a later refill reuses it.
-            slab.buf.clear();
-            slab.head = 0;
-            self.slot_of[gid] = NO_SLOT;
-            self.free.push(slot);
-        }
+        self.members[gid].remove(p);
     }
 
     fn move_miner(&mut self, game: &Game, p: MinerId, to: CoinId) {
@@ -469,36 +633,33 @@ impl<'g> MassTracker<'g> {
         // of range (Configurations from a different system are accepted by
         // the type system).
         let config = Configuration::new(start.as_slice().to_vec(), system)?;
-        // One ascending pass fills masses and the group index together:
+        // One ascending pass fills masses and loads the group index:
         // class ids are minted in first-encounter order and members
-        // arrive sorted, so the slabs load in bulk.
+        // arrive sorted, so each lands at its group's end.
         let mut masses = Masses::zero(system.num_coins());
         let mut gid_of_key: BTreeMap<GroupKey, u32> = BTreeMap::new(); // allow-collection: build-local key probe, dropped before the first step
         let mut keys: Vec<GroupKey> = Vec::new();
-        let mut members: Vec<Vec<MinerId>> = Vec::new();
-        let mut of = vec![0u32; system.num_miners()];
-        for p in system.miner_ids() {
-            if !miner_active[p.index()] {
-                continue;
-            }
-            let coin = config.coin_of(p);
-            if !coin_active[coin.index()] {
-                return Err(GameError::CoinInactive { coin });
-            }
-            let power = system.power_of(p);
-            masses.add(coin, power);
-            let key = (coin.index() as u32, power, GroupIndex::rkey(game, p));
-            let next = keys.len() as u32;
-            let gid = *gid_of_key.entry(key).or_insert(next);
-            if gid == next {
-                keys.push(key);
-                members.push(Vec::new());
-            }
-            of[p.index()] = gid;
-            members[gid as usize].push(p);
-        }
+        let groups = GroupIndex::load(
+            miner_active,
+            |p| {
+                let coin = config.coin_of(p);
+                if !coin_active[coin.index()] {
+                    return Err(GameError::CoinInactive { coin });
+                }
+                let power = system.power_of(p);
+                masses.add(coin, power);
+                let key = (coin.index() as u32, power, GroupIndex::rkey(game, p));
+                let next = keys.len() as u32;
+                let gid = *gid_of_key.entry(key).or_insert(next);
+                if gid == next {
+                    keys.push(key);
+                }
+                Ok(gid)
+            },
+            0,
+        )?;
         Ok(MassTracker {
-            groups: GroupIndex::from_sorted_parts(of, &keys, members, 0),
+            groups: groups.keyed(&keys),
             game,
             config,
             masses,
@@ -886,7 +1047,7 @@ impl<'g> MassTracker<'g> {
     // ------------------------------------------------------------------
     //
     // These are the *only* windows into the group partition: they expose
-    // queries (slices, options, counts), never the storage, so the index
+    // queries (iterators, options, counts), never the storage, so the index
     // layout can keep evolving without touching a caller. No method here
     // names a collection type.
 
@@ -897,9 +1058,9 @@ impl<'g> MassTracker<'g> {
         self.groups.of[p.index()]
     }
 
-    /// The id-ordered live members of group `gid` (empty for emptied
-    /// classes), `O(1)`.
-    pub fn members_of(&self, gid: u32) -> &[MinerId] {
+    /// The live members of group `gid` in ascending id order (none for
+    /// emptied classes), `O(1)` per member.
+    pub fn members_of(&self, gid: u32) -> impl Iterator<Item = MinerId> + '_ {
         self.groups.members(gid)
     }
 
@@ -936,8 +1097,8 @@ impl<'g> MassTracker<'g> {
     // ------------------------------------------------------------------
 
     /// Moves `p` to `to`, updating masses and the group index in an
-    /// `O(log groups)` key lookup plus amortized-`O(1)` slab edits
-    /// (amortized), and pushes the move onto the undo stack. Returns the
+    /// `O(log groups)` key lookup plus two `O(log runs + RUN_CAP)` run
+    /// edits, and pushes the move onto the undo stack. Returns the
     /// applied move (with its `from` coin). Shorthand for a
     /// [`Delta::Move`] through [`MassTracker::apply_delta`].
     ///
@@ -965,8 +1126,8 @@ impl<'g> MassTracker<'g> {
 
     /// Applies one churn [`Delta`], validating it against the current
     /// activity state, and pushes the resolved [`AppliedDelta`] onto the
-    /// undo stack. An `O(log groups)` key lookup plus amortized-`O(1)`
-    /// slab edits for moves, insertions, removals, and launches;
+    /// undo stack. An `O(log groups)` key lookup plus `O(log runs +
+    /// RUN_CAP)` run edits for moves, insertions, removals, and launches;
     /// `O(residents × coins)` for a retirement (the forced relocations).
     ///
     /// # Errors
@@ -1074,9 +1235,8 @@ impl<'g> MassTracker<'g> {
                     return Err(GameError::CoinInactive { coin });
                 }
                 let mut residents: Vec<MinerId> = Vec::new();
-                let gids: Vec<u32> = self.groups.groups_on(coin).collect();
-                for gid in gids {
-                    residents.extend_from_slice(self.groups.members(gid));
+                for gid in self.groups.groups_on(coin) {
+                    residents.extend(self.groups.members(gid));
                 }
                 residents.sort_unstable();
                 // Atomicity precheck: every resident must have somewhere
@@ -1218,6 +1378,201 @@ mod tests {
 
     fn cfg(game: &Game, coins: &[usize]) -> Configuration {
         Configuration::new(coins.iter().map(|&c| CoinId(c)).collect(), game.system()).unwrap()
+    }
+
+    // ------------------------------------------------------------------
+    // Member runs
+    // ------------------------------------------------------------------
+
+    /// Hand-built runs (states the edits themselves may never produce),
+    /// stored in reverse block order so the directory's indirection is
+    /// exercised.
+    fn runs_of(runs: &[&[u32]]) -> MemberRuns {
+        let mut members = MemberRuns {
+            slab: vec![0; runs.len() * RUN_CAP],
+            ..MemberRuns::default()
+        };
+        for (i, run) in runs.iter().enumerate() {
+            let block = (runs.len() - 1 - i) as u32;
+            let base = block as usize * RUN_CAP;
+            members.slab[base..base + run.len()].copy_from_slice(run);
+            members.dir.push(Run {
+                max: *run.last().unwrap(),
+                block,
+                len: run.len() as u32,
+            });
+            members.len += run.len();
+        }
+        members
+    }
+
+    fn maxes(members: &MemberRuns) -> Vec<u32> {
+        members.dir.iter().map(|run| run.max).collect()
+    }
+
+    /// Checks the run invariants and that the members are exactly
+    /// `expected` (ascending).
+    fn assert_runs(members: &MemberRuns, expected: &[u32]) {
+        let ids: Vec<u32> = members.iter().map(|p| p.index() as u32).collect();
+        assert_eq!(ids, expected);
+        assert_eq!(members.len(), expected.len());
+        let mut blocks: Vec<u32> = members.free.clone();
+        for &run in &members.dir {
+            let slots = members.run(run);
+            let len = slots.len();
+            assert!(len > 0 && len < RUN_CAP, "run of {len}");
+            assert_eq!(slots.last(), Some(&run.max));
+            blocks.push(run.block);
+        }
+        blocks.sort_unstable();
+        blocks.dedup();
+        assert_eq!(
+            blocks.len(),
+            members.dir.len() + members.free.len(),
+            "a block is shared"
+        );
+        assert_eq!(
+            blocks.len(),
+            members.slab.len().div_ceil(RUN_CAP),
+            "a block is leaked"
+        );
+        assert_eq!(
+            members.first(),
+            expected.first().map(|&q| MinerId(q as usize))
+        );
+    }
+
+    /// Bulk-loads ascending `ids` the way a tracker build does.
+    fn loaded(ids: impl IntoIterator<Item = u32>) -> MemberRuns {
+        let mut members = MemberRuns::default();
+        for q in ids {
+            members.push_max(MinerId(q as usize));
+        }
+        members.seal();
+        members
+    }
+
+    #[test]
+    fn member_runs_split_at_the_cap() {
+        let cap = RUN_CAP as u32;
+        let mut members = MemberRuns::default();
+        for q in 0..cap - 1 {
+            members.insert(MinerId(q as usize));
+        }
+        assert_eq!(members.dir.len(), 1);
+        members.insert(MinerId(cap as usize - 1));
+        assert_runs(&members, &(0..cap).collect::<Vec<_>>());
+        assert_eq!(maxes(&members), vec![cap / 2 - 1, cap - 1]);
+        // A mid-run insert that fills a run splits it the same way.
+        let gapped: Vec<u32> = (0..cap).filter(|&q| q != 7).collect();
+        let mut members = runs_of(&[&gapped]);
+        members.insert(MinerId(7));
+        assert_runs(&members, &(0..cap).collect::<Vec<_>>());
+        assert_eq!(maxes(&members), vec![cap / 2 - 1, cap - 1]);
+    }
+
+    #[test]
+    fn member_runs_merge_a_thin_run() {
+        let cap = RUN_CAP as u32;
+        let halves = |lo: u32| {
+            let (left, right): (Vec<u32>, Vec<u32>) = (lo..cap).partition(|&q| q < cap / 2);
+            runs_of(&[&left, &right])
+        };
+        let mut members = halves(0);
+        let mut expected: Vec<u32> = (0..cap).collect();
+        // Thin the second run to just below RUN_MIN: it merges left.
+        let keep = RUN_MIN as u32 - 1;
+        for q in cap / 2..cap - keep {
+            members.remove(MinerId(q as usize));
+            expected.retain(|&x| x != q);
+            assert_runs(&members, &expected);
+        }
+        assert_eq!(members.dir.len(), 1);
+        // A thin head run merges right.
+        let mut members = halves(0);
+        for q in 0..cap / 2 - keep {
+            members.remove(MinerId(q as usize));
+        }
+        assert_runs(&members, &(cap / 2 - keep..cap).collect::<Vec<_>>());
+        assert_eq!(members.dir.len(), 1);
+        // A thin run beside one too full to absorb it takes half of both,
+        // on either side.
+        let big: Vec<u32> = (0..100).collect();
+        let small: Vec<u32> = (100..134).collect();
+        let mut members = runs_of(&[&big, &small]);
+        for q in 100..103 {
+            members.remove(MinerId(q));
+        }
+        assert_runs(&members, &(0..100).chain(103..134).collect::<Vec<_>>());
+        assert_eq!(maxes(&members), vec![64, 133]);
+        let mut members = runs_of(&[&big[..34], &(34..134).collect::<Vec<_>>()]);
+        for q in 0..3 {
+            members.remove(MinerId(q));
+        }
+        assert_runs(&members, &(3..134).collect::<Vec<_>>());
+        assert_eq!(maxes(&members), vec![67, 133]);
+    }
+
+    #[test]
+    fn member_runs_empty_a_middle_run() {
+        // Draining a middle run's ids in any order keeps the rest exact.
+        let fill = LOAD_FILL as u32;
+        let mut members = loaded(0..3 * fill);
+        assert_eq!(maxes(&members), vec![fill - 1, 2 * fill - 1, 3 * fill - 1]);
+        let mut expected: Vec<u32> = (0..3 * fill).collect();
+        let middle = fill..2 * fill;
+        let (odd, even): (Vec<u32>, Vec<u32>) = middle.partition(|q| q % 2 == 1);
+        for q in odd.into_iter().rev().chain(even) {
+            members.remove(MinerId(q as usize));
+            expected.retain(|&x| x != q);
+            assert_runs(&members, &expected);
+        }
+        assert_eq!(
+            members.successor(MinerId(fill as usize)),
+            Some(MinerId(2 * fill as usize))
+        );
+        // A singleton middle run is dropped from the directory outright.
+        let mut members = runs_of(&[&[1, 2, 3], &[5], &[8, 9]]);
+        members.remove(MinerId(5));
+        assert_runs(&members, &[1, 2, 3, 8, 9]);
+        assert_eq!(maxes(&members), vec![3, 9]);
+        assert_eq!(members.successor(MinerId(4)), Some(MinerId(8)));
+    }
+
+    #[test]
+    fn member_runs_successor_crosses_runs_and_stops_at_the_end() {
+        // Even ids, so every run boundary has a gap to land in.
+        let fill = LOAD_FILL;
+        let members = loaded((0..3 * fill as u32).map(|q| 2 * q));
+        let last = |run: usize| 2 * (run * fill - 1);
+        assert_eq!(maxes(&members), [1, 2, 3].map(|r| last(r) as u32));
+        let succ = |q: usize| members.successor(MinerId(q));
+        assert_eq!(succ(last(1)), Some(MinerId(last(1))));
+        assert_eq!(succ(last(1) + 1), Some(MinerId(last(1) + 2)));
+        assert_eq!(succ(last(2) + 1), Some(MinerId(last(2) + 2)));
+        assert_eq!(succ(last(3)), Some(MinerId(last(3))));
+        assert_eq!(succ(last(3) + 1), None);
+        assert_eq!(members.successor(MinerId(usize::MAX)), None);
+        assert_eq!(MemberRuns::default().successor(MinerId(0)), None);
+    }
+
+    #[test]
+    fn member_runs_min_after_the_head_run_empties() {
+        let fill = LOAD_FILL as u32;
+        let mut members = loaded(0..3 * fill);
+        for q in 0..fill {
+            assert_eq!(members.first(), Some(MinerId(q as usize)));
+            members.remove(MinerId(q as usize));
+        }
+        assert_runs(&members, &(fill..3 * fill).collect::<Vec<_>>());
+        let mut members = runs_of(&[&[4], &[10, 11], &[20]]);
+        members.remove(MinerId(4));
+        assert_runs(&members, &[10, 11, 20]);
+        // The last member out leaves an empty group.
+        let mut members = runs_of(&[&[4]]);
+        members.remove(MinerId(4));
+        assert_runs(&members, &[]);
+        assert_eq!(members.successor(MinerId(0)), None);
     }
 
     #[test]

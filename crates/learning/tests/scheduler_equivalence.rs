@@ -72,6 +72,28 @@ fn restricted_game_and_config() -> impl Strategy<Value = (Game, Configuration)> 
         })
 }
 
+/// About 2k miners in two power classes, so each strategic group spans
+/// many of the tracker's 128-id member runs and round-robin successor
+/// queries and mid-group edits cross run boundaries.
+fn multi_run_game_and_config() -> impl Strategy<Value = (Game, Configuration)> {
+    (
+        1920usize..2176,
+        proptest::collection::vec(1u64..9, 2),
+        proptest::collection::vec(1u64..50, 3),
+        0u64..u64::MAX,
+    )
+        .prop_map(|(n, classes, rewards, mix)| {
+            let powers: Vec<u64> = (0..n).map(|i| classes[i % 2]).collect();
+            let game = Game::build(&powers, &rewards).expect("valid parameters");
+            // A cheap deterministic scatter of the start over the coins.
+            let assignment = (0..n)
+                .map(|i| CoinId((mix.rotate_left(i as u32 % 64) as usize ^ i) % 3))
+                .collect();
+            let config = Configuration::new(assignment, game.system()).expect("valid assignment");
+            (game, config)
+        })
+}
+
 /// Runs `kind` in lockstep along a whole trajectory: the incremental
 /// pick must equal the eager pick at every step, and both must land on
 /// the same stable configuration.
@@ -184,5 +206,19 @@ proptest! {
         }
         prop_assert_eq!(&s, &outcome.final_config);
         prop_assert!(game.is_stable(&s));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Round-robin at multi-run scale: pick-for-pick against the eager
+    /// oracle on groups of about a thousand members.
+    #[test]
+    fn round_robin_picks_match_eager_picks_on_multi_run_groups(
+        (game, start) in multi_run_game_and_config(),
+        seed in 0u64..1000,
+    ) {
+        assert_lockstep_equivalence(SchedulerKind::RoundRobin, &game, &start, seed)?;
     }
 }
